@@ -4,9 +4,10 @@
 // The paper's protocols (§3.3, §3.5) use two RSA key pairs per peer:
 //   (SP, SR)  signature pair   — authenticity; nodeId = SHA1(SP)
 //   (AP, AR)  anonymity pair   — onion layer encryption
-// Key size is a parameter: tests exercise 256–512 bits, large simulations
-// default to 128 bits so a thousand key generations cost milliseconds.
-// The code path is identical at any size.
+// Key size is a parameter: tests exercise 256–512 bits, simulations
+// default to 64 bits (sim::Params::rsa_bits; a bare HirepOptions uses 128)
+// so a thousand key generations cost milliseconds.  The code path is
+// identical at any size.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,15 @@
 #include "crypto/sha256.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
+
+#include "crypto/sha256_kernels.hpp"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace hirep::crypto {
 
@@ -9,6 +17,18 @@ namespace {
 
 constexpr std::uint32_t rotr(std::uint32_t x, int k) noexcept {
   return (x >> k) | (x << (32 - k));
+}
+
+// A big-endian word written as one store.  Its next reader is a 16-byte
+// load (the kernel's block load, or a digest copied into the next hash),
+// which forwards from one wide store but stalls behind several byte stores.
+template <typename Word>
+void store_be(std::uint8_t* out, Word v) {
+  std::uint8_t bytes[sizeof(Word)];
+  for (std::size_t i = 0; i < sizeof(Word); ++i) {
+    bytes[i] = static_cast<std::uint8_t>(v >> (8 * (sizeof(Word) - 1 - i)));
+  }
+  std::memcpy(out, bytes, sizeof(Word));
 }
 
 constexpr std::array<std::uint32_t, 64> kRoundConstants = {
@@ -60,29 +80,28 @@ void Sha256::update(const std::string& s) {
 
 Sha256::Digest Sha256::finish() {
   assert(!finished_);
-  const std::uint64_t bit_len = total_len_ * 8;
-  std::uint8_t pad[72] = {0x80};
-  const std::size_t pad_len =
-      (buffer_len_ < 56) ? 56 - buffer_len_ : 120 - buffer_len_;
-  update(std::span(pad, pad_len));
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  update(std::span(len_be, 8));
   finished_ = true;
+  // Padding in place: 0x80, zeros to 56 mod 64, the 64-bit big-endian
+  // message bit length.
+  const std::uint64_t bit_len = total_len_ * 8;
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::fill(buffer_.begin() + buffer_len_, buffer_.end(), std::uint8_t{0});
+    process_block(buffer_.data());
+    buffer_len_ = 0;
+  }
+  std::fill(buffer_.begin() + buffer_len_, buffer_.begin() + 56,
+            std::uint8_t{0});
+  store_be(buffer_.data() + 56, bit_len);
+  process_block(buffer_.data());
 
   Digest out;
-  for (int i = 0; i < 8; ++i) {
-    out[4 * i] = static_cast<std::uint8_t>(h_[i] >> 24);
-    out[4 * i + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
-    out[4 * i + 2] = static_cast<std::uint8_t>(h_[i] >> 8);
-    out[4 * i + 3] = static_cast<std::uint8_t>(h_[i]);
-  }
+  for (std::size_t i = 0; i < 8; ++i) store_be(out.data() + 4 * i, h_[i]);
   return out;
 }
 
-void Sha256::process_block(const std::uint8_t* block) {
+void sha256_kernels::compress_portable(std::uint32_t* state,
+                                       const std::uint8_t* block) {
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
@@ -98,8 +117,8 @@ void Sha256::process_block(const std::uint8_t* block) {
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
 
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  std::uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
+  std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
     const std::uint32_t ch = (e & f) ^ (~e & g);
@@ -116,14 +135,96 @@ void Sha256::process_block(const std::uint8_t* block) {
     b = a;
     a = temp1 + temp2;
   }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+
+namespace {
+
+// Four rounds per step, two per sha256rnds2.  The state lives as ABEF/CDGH
+// lane pairs (the instruction's layout); message words are byte-swapped to
+// big-endian on load.  Step g's schedule vector W_g (g >= 4) is
+//   sha256msg2(sha256msg1(W_{g-4}, W_{g-3}) + (W_{g-2}[1..3], W_{g-1}[0]),
+//              W_{g-1}),
+// kept in a four-entry ring.
+__attribute__((target("sha,sse4.1"))) void compress_sha_ni(
+    std::uint32_t* state, const std::uint8_t* block) {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)),
+                        0xB1);  // CDAB
+  const __m128i hgfe = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(dcba, hgfe, 8);
+  __m128i cdgh = _mm_blend_epi16(hgfe, dcba, 0xF0);
+  const __m128i abef_in = abef;
+  const __m128i cdgh_in = cdgh;
+
+  __m128i w[4];
+  for (std::size_t g = 0; g < 16; ++g) {
+    __m128i& cur = w[g % 4];
+    if (g < 4) {
+      cur = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(block + 16 * g)),
+          byte_swap);
+    } else {
+      const __m128i& prev = w[(g + 3) % 4];
+      cur = _mm_sha256msg1_epu32(cur, w[(g + 1) % 4]);
+      cur = _mm_add_epi32(cur, _mm_alignr_epi8(prev, w[(g + 2) % 4], 4));
+      cur = _mm_sha256msg2_epu32(cur, prev);
+    }
+    __m128i wk = _mm_add_epi32(
+        cur, _mm_loadu_si128(
+                 reinterpret_cast<const __m128i*>(&kRoundConstants[4 * g])));
+    cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+    wk = _mm_shuffle_epi32(wk, 0x0E);
+    abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+  }
+
+  abef = _mm_add_epi32(abef, abef_in);
+  cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));  // HGFE
+}
+
+}  // namespace
+
+sha256_kernels::Compress sha256_kernels::sha_ni() {
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx) || !(ecx & bit_SSE4_1)) {
+    return nullptr;
+  }
+  if (!__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) || !(ebx & bit_SHA)) {
+    return nullptr;
+  }
+  return compress_sha_ni;
+}
+
+#else
+
+sha256_kernels::Compress sha256_kernels::sha_ni() { return nullptr; }
+
+#endif
+
+void Sha256::process_block(const std::uint8_t* block) {
+  static const sha256_kernels::Compress kernel = [] {
+    const sha256_kernels::Compress ni = sha256_kernels::sha_ni();
+    return ni != nullptr ? ni : sha256_kernels::compress_portable;
+  }();
+  kernel(h_.data(), block);
 }
 
 Sha256::Digest Sha256::hash(std::span<const std::uint8_t> data) {
@@ -138,8 +239,7 @@ Sha256::Digest Sha256::hash(const std::string& s) {
   return h.finish();
 }
 
-Sha256::Digest hmac_sha256(std::span<const std::uint8_t> key,
-                           std::span<const std::uint8_t> message) {
+HmacSha256::HmacSha256(std::span<const std::uint8_t> key) {
   std::array<std::uint8_t, 64> block{};
   if (key.size() > block.size()) {
     const auto digest = Sha256::hash(key);
@@ -153,16 +253,22 @@ Sha256::Digest hmac_sha256(std::span<const std::uint8_t> key,
     ipad[i] = block[i] ^ 0x36;
     opad[i] = block[i] ^ 0x5c;
   }
+  inner_.update(std::span<const std::uint8_t>(ipad));
+  outer_.update(std::span<const std::uint8_t>(opad));
+}
 
-  Sha256 inner;
-  inner.update(std::span<const std::uint8_t>(ipad));
+Sha256::Digest HmacSha256::mac(std::span<const std::uint8_t> message) const {
+  Sha256 inner = inner_;
   inner.update(message);
   const auto inner_digest = inner.finish();
-
-  Sha256 outer;
-  outer.update(std::span<const std::uint8_t>(opad));
+  Sha256 outer = outer_;
   outer.update(std::span<const std::uint8_t>(inner_digest));
   return outer.finish();
+}
+
+Sha256::Digest hmac_sha256(std::span<const std::uint8_t> key,
+                           std::span<const std::uint8_t> message) {
+  return HmacSha256(key).mac(message);
 }
 
 }  // namespace hirep::crypto

@@ -1,14 +1,16 @@
-// SHA-256-CTR stream cipher.  Onion layers are encrypted hybridly: the
-// symmetric key for each layer is wrapped with the relay's RSA anonymity
-// key (KEM-style), and the layer body is XORed with this keystream.  That
-// matches deployed onion-routing practice and keeps layer size linear
-// rather than bounded by the RSA modulus.
+// HMAC-SHA256 counter-mode stream cipher: keystream block i is
+// HMAC-SHA256(key, nonce || i), both little-endian u64.  Onion layers are
+// encrypted hybridly: the symmetric key for each layer is wrapped with the
+// relay's RSA anonymity key (KEM-style), and the layer body is XORed with
+// this keystream.  That matches deployed onion-routing practice and keeps
+// layer size linear rather than bounded by the RSA modulus.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <span>
 
+#include "crypto/sha256.hpp"
 #include "util/bytes.hpp"
 
 namespace hirep::crypto {
@@ -30,7 +32,7 @@ class StreamCipher {
  private:
   void refill();
 
-  Key key_;
+  HmacSha256 prf_;  ///< keyed once; each refill costs two compressions
   std::uint64_t nonce_;
   std::uint64_t counter_ = 0;
   std::array<std::uint8_t, 32> block_{};

@@ -241,6 +241,15 @@ HirepSystem::AgentRef HirepSystem::resolve_agent(const crypto::NodeId& id) {
   return ref;
 }
 
+HirepSystem::AgentRef HirepSystem::contactable_agent(const crypto::NodeId& id) {
+  const AgentRef ref = resolve_agent(id);
+  if (!ref || !agent_online_[ref.ip]) return {};
+  // The community has given up on a quarantined agent: no request is even
+  // sent until a fresh probe (refill) readmits it.
+  if (ref.rt->recovery->quarantined.load(std::memory_order_relaxed)) return {};
+  return ref;
+}
+
 std::vector<net::NodeIndex> HirepSystem::path_of(
     const std::vector<onion::RelayInfo>& relays, net::NodeIndex owner) const {
   std::vector<net::NodeIndex> path;
@@ -549,14 +558,9 @@ HirepSystem::RoutedEnvelope HirepSystem::route_envelope(
 std::optional<double> HirepSystem::exchange_with_agent(
     TxnCtx& ctx, Peer& requestor, AgentEntry& entry, net::NodeIndex subject_ip,
     const crypto::NodeId& subject_id) {
-  const AgentRef ref = resolve_agent(entry.agent_id);
-  if (!ref || !agent_online_[ref.ip]) return std::nullopt;
+  const AgentRef ref = contactable_agent(entry.agent_id);
+  if (!ref) return std::nullopt;
   AgentRuntime* rt = ref.rt;
-  // The community has given up on a quarantined agent: no request is even
-  // sent until a fresh probe (refill) readmits it.
-  if (rt->recovery->quarantined.load(std::memory_order_relaxed)) {
-    return std::nullopt;
-  }
   const auto agent_ip = ref.ip;
   const std::uint64_t nonce = (*ctx.rng)();
 
@@ -1048,18 +1052,18 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
       wave.push_back(stop);
     }
 
-    // Sequence reservation: under instant delivery every online trusted
-    // agent of a requestor issues exactly one fresh onion per exchange, so
-    // the sq draws are known up front.  Claiming them serially here, in
-    // transaction order, keeps each agent's sq stream identical to a
-    // serial run no matter how the wave is scheduled.
+    // Sequence reservation: under instant delivery every contactable
+    // trusted agent of a requestor issues exactly one fresh onion per
+    // exchange, so the sq draws are known up front.  Claiming them serially
+    // here, in transaction order, keeps each agent's sq stream identical to
+    // a serial run no matter how the wave is scheduled.
     reserved.assign(wave.size(), {});
     if (instant) {
       for (std::size_t j = 0; j < wave.size(); ++j) {
         Peer& rp = peers_[pairs[wave[j]].first];
         for (const AgentEntry& entry : rp.agents().entries()) {
-          const AgentRef ref = resolve_agent(entry.agent_id);
-          if (!ref || !agent_online_[ref.ip]) continue;
+          const AgentRef ref = contactable_agent(entry.agent_id);
+          if (!ref) continue;
           const std::uint64_t sq = agent_sq_[ref.ip]++;
           router_.note_issued(entry.agent_id, sq);
           reserved[j].push_back(sq);

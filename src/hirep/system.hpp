@@ -277,6 +277,11 @@ class HirepSystem {
     explicit operator bool() const noexcept { return rt != nullptr; }
   };
   AgentRef resolve_agent(const crypto::NodeId& id);
+  /// resolve_agent, but empty unless an exchange would contact the agent:
+  /// online and not quarantined.  Sq reservation at wave formation and
+  /// exchange_with_agent share this test, so every reserved sq is consumed
+  /// by the agent it was drawn for.
+  AgentRef contactable_agent(const crypto::NodeId& id);
   AgentRuntime* runtime_of(const crypto::NodeId& id) {
     return resolve_agent(id).rt;
   }

@@ -120,5 +120,48 @@ TEST(HmacSha256, KeySensitivity) {
   EXPECT_NE(hmac_sha256(k1, msg), hmac_sha256(k2, msg));
 }
 
+util::Bytes bytes_of(const std::string& s) { return {s.begin(), s.end()}; }
+
+TEST(HmacSha256, KeyedOnceObjectIsReusable) {
+  // mac() must leave the keyed midstates untouched: one object answers
+  // every message exactly as a fresh one-shot call does, RFC 4231 cases
+  // included (case 5 is truncation-only).
+  util::Bytes key4;
+  for (std::uint8_t b = 1; b <= 25; ++b) key4.push_back(b);
+  const struct {
+    util::Bytes key;
+    util::Bytes msg;
+    const char* hex;
+  } rfc4231[] = {
+      {util::Bytes(20, 0x0b), bytes_of("Hi There"),
+       "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7"},
+      {bytes_of("Jefe"), bytes_of("what do ya want for nothing?"),
+       "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"},
+      {util::Bytes(20, 0xaa), util::Bytes(50, 0xdd),
+       "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe"},
+      {key4, util::Bytes(50, 0xcd),
+       "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b"},
+      {util::Bytes(131, 0xaa),
+       bytes_of("Test Using Larger Than Block-Size Key - Hash Key First"),
+       "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54"},
+      {util::Bytes(131, 0xaa),
+       bytes_of("This is a test using a larger than block-size key and a "
+                "larger than block-size data. The key needs to be hashed "
+                "before being used by the HMAC algorithm."),
+       "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2"},
+  };
+  for (std::size_t c = 0; c < std::size(rfc4231); ++c) {
+    SCOPED_TRACE("RFC 4231 vector " + std::to_string(c));
+    const HmacSha256 keyed(rfc4231[c].key);
+    EXPECT_EQ(util::to_hex(keyed.mac(rfc4231[c].msg)), rfc4231[c].hex);
+    for (std::size_t len = 0; len <= 130; len += 13) {
+      const util::Bytes msg(len, static_cast<std::uint8_t>(len));
+      EXPECT_EQ(keyed.mac(msg), hmac_sha256(rfc4231[c].key, msg))
+          << "len " << len;
+    }
+    EXPECT_EQ(util::to_hex(keyed.mac(rfc4231[c].msg)), rfc4231[c].hex);
+  }
+}
+
 }  // namespace
 }  // namespace hirep::crypto

@@ -4,10 +4,13 @@
 // live-rating quorum.
 #include <gtest/gtest.h>
 
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "check/check.hpp"
 #include "hirep/system.hpp"
+#include "util/rng.hpp"
 
 namespace hirep::core {
 namespace {
@@ -234,6 +237,48 @@ TEST(Recovery, QuarantineHookValidatesAndCountsOnce) {
   }
   ASSERT_NE(non_agent, net::kInvalidNode);
   EXPECT_THROW(sys.quarantine_agent(non_agent), std::invalid_argument);
+}
+
+TEST(Recovery, QuarantineKeepsReservedOnionSqsAlignedOnEveryExecutor) {
+  // Wave formation reserves one onion sq per agent an exchange will
+  // contact, in list order, and each exchange consumes the next one.  A
+  // quarantined agent is never contacted, so it must not be reserved for
+  // either: otherwise every later agent of that requestor takes its
+  // predecessor's sq and the held onion can go backwards.
+  if (!check::kEnabled) GTEST_SKIP() << "needs HIREP_CHECKS=ON";
+  HirepOptions o = small_options();
+  o.nodes = 400;
+  util::Rng rng(5);
+  std::vector<std::pair<net::NodeIndex, net::NodeIndex>> pairs;
+  while (pairs.size() < 800) {
+    const auto r = static_cast<net::NodeIndex>(rng.below(o.nodes));
+    const auto p = static_cast<net::NodeIndex>(rng.below(o.nodes));
+    if (r != p) pairs.emplace_back(r, p);
+  }
+  const std::span<const std::pair<net::NodeIndex, net::NodeIndex>> all(pairs);
+
+  for (const Executor& exec :
+       {Executor::serial(), Executor::parallel(2), Executor::sharded(3, 2)}) {
+    SCOPED_TRACE(to_string(exec.mode));
+    HirepSystem sys(o);
+    check::ScopedCapture capture;
+    sys.run_transactions(all.first(400), exec);
+
+    // Ten online agents, taken in peer order, go into quarantine.
+    std::set<net::NodeIndex> quarantined;
+    for (net::NodeIndex v = 0; v < sys.node_count() && quarantined.size() < 10;
+         ++v) {
+      for (const auto& entry : sys.peer(v).agents().entries()) {
+        const auto ip = *sys.ip_of(entry.agent_id);
+        if (quarantined.size() < 10 && quarantined.insert(ip).second) {
+          sys.quarantine_agent(ip);
+        }
+      }
+    }
+    sys.run_transactions(all.subspan(400), exec);
+    EXPECT_FALSE(capture.fired("onion.sq.holder_monotone"));
+    EXPECT_EQ(capture.count(), 0u);
+  }
 }
 
 }  // namespace

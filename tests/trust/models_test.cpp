@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "util/rng.hpp"
 
 namespace hirep::trust {
@@ -97,8 +100,11 @@ TEST(Models, CloneIsIndependentCopy) {
 }
 
 // Property: all models converge toward the true rate of a Bernoulli stream.
+// The model name is a std::string, not a const char*: gtest prints a pointer
+// parameter with its address, which would make the discovered test names
+// change from run to run.
 class ModelConvergence
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {};
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {};
 
 TEST_P(ModelConvergence, TracksBernoulliRate) {
   const auto [name, rate] = GetParam();
