@@ -88,16 +88,12 @@ int main(int argc, char** argv) {
 
         // Executors come from Scenario (the one construction path), so the
         // same downgrade/validation diagnostics apply as everywhere else.
-        // shards(0): a user-supplied shard knob is illegal (by design) on
-        // the non-sharded executors this exhibit compares.
         const auto serial_exec = sim::Scenario(sc)
                                      .execution("serial")
-                                     .shards(0)
                                      .validate()
                                      .execution_policy();
         const auto parallel_exec = sim::Scenario(sc)
                                        .execution("parallel")
-                                       .shards(0)
                                        .threads(p.threads)
                                        .validate()
                                        .execution_policy();

@@ -31,7 +31,6 @@ case "$profile" in
     scale_full_params=(network_size=2000 transactions=300 crypto=full seed=1)
     chaos_params=(network_size=200 transactions=240 crypto=fast seed=7)
     transport_params=(network_size=1000 transactions=100000 seed=1)
-    shard_params=(network_size=10000 transactions=2000 crypto=fast seed=1 execution=sharded shards=8)
     ;;
   full)
     fig_params=()
@@ -40,7 +39,6 @@ case "$profile" in
     scale_full_params=(network_size=10000 transactions=1000 crypto=full seed=1)
     chaos_params=(network_size=1000 transactions=2000 crypto=fast seed=7)
     transport_params=(network_size=10000 transactions=1000000 seed=1)
-    shard_params=(network_size=100000 transactions=10000 crypto=fast seed=1 execution=sharded shards=8)
     ;;
   *)
     echo "bench.sh: unknown BENCH_PROFILE '$profile' (use: quick full)" >&2
@@ -66,24 +64,15 @@ done
 
 # Scale engine: serial vs parallel batch execution, both crypto modes;
 # chaos engine: fault schedule + failover recovery; batched transport:
-# per-envelope vs arena-backed send_batch; sharded engine: thread sweep
-# over a shard partition, plus the fig5-at-1M exhibit — a million-agent
-# fig5-shaped workload under fast crypto, same params in both profiles
-# because the exhibit is defined at N=1,000,000 (bootstrap dominates its
-# wall-clock, ~7 min) (hirep-bench-v1 documents; exit 1 = a claim did
-# not hold, still recorded).
-scale_runs=(micro_scale_fast micro_scale_full chaos_recovery micro_transport
-            micro_shard micro_shard_1m)
+# per-envelope vs arena-backed send_batch (hirep-bench-v1 documents;
+# exit 1 = a claim did not hold, still recorded).
+scale_runs=(micro_scale_fast micro_scale_full chaos_recovery micro_transport)
 for run in "${scale_runs[@]}"; do
   case "$run" in
     micro_scale_fast) binary=micro_scale params=("${scale_fast_params[@]}") ;;
     micro_scale_full) binary=micro_scale params=("${scale_full_params[@]}") ;;
     chaos_recovery)   binary=chaos_recovery params=("${chaos_params[@]}") ;;
     micro_transport)  binary=micro_transport params=("${transport_params[@]}") ;;
-    micro_shard)      binary=micro_shard params=("${shard_params[@]}") ;;
-    micro_shard_1m)   binary=micro_shard
-                      params=(network_size=1000000 transactions=2000
-                              crypto=fast seed=1 execution=sharded shards=8) ;;
   esac
   echo "== bench.sh: $binary (${params[*]}) =="
   rc=0

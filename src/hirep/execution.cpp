@@ -1,7 +1,6 @@
 #include "hirep/execution.hpp"
 
 #include <stdexcept>
-#include <string>
 
 #include "util/log.hpp"
 
@@ -9,11 +8,10 @@ namespace hirep::core {
 
 namespace {
 
-// Thread/shard counts parse through int64 on the CLI path, so a negative
-// value wraps to a huge unsigned — bound both far above any real machine
-// to catch the mistake at config time instead of inside the thread pool.
+// Thread counts parse through int64 on the CLI path, so a negative value
+// wraps to a huge unsigned — bound it far above any real machine to catch
+// the mistake at config time instead of inside the thread pool.
 constexpr std::size_t kMaxThreads = 4096;
-constexpr std::size_t kMaxShards = 4096;
 // A wave window is a batch-size cap; anything beyond this is a wrap.
 constexpr std::size_t kMaxWaveWindow = 1'000'000'000;
 
@@ -22,7 +20,6 @@ constexpr std::size_t kMaxWaveWindow = 1'000'000'000;
 std::optional<ExecutionMode> execution_mode_by_name(std::string_view name) {
   if (name == "serial") return ExecutionMode::kSerial;
   if (name == "parallel") return ExecutionMode::kParallel;
-  if (name == "sharded") return ExecutionMode::kSharded;
   return std::nullopt;
 }
 
@@ -32,8 +29,6 @@ const char* to_string(ExecutionMode mode) noexcept {
       return "serial";
     case ExecutionMode::kParallel:
       return "parallel";
-    case ExecutionMode::kSharded:
-      return "sharded";
   }
   return "?";
 }
@@ -43,18 +38,9 @@ Executor Executor::validate(const Environment& env) const {
     throw std::invalid_argument(
         "Executor: threads must be <= 4096 (negative values wrap)");
   }
-  if (shards > kMaxShards) {
-    throw std::invalid_argument(
-        "Executor: shards must be <= 4096 (negative values wrap)");
-  }
   if (wave_window > kMaxWaveWindow) {
     throw std::invalid_argument(
         "Executor: wave_window must be <= 1e9 (negative values wrap)");
-  }
-  if (shards != 0 && mode != ExecutionMode::kSharded) {
-    throw std::invalid_argument(
-        "Executor: shards requires sharded execution (got execution=" +
-        std::string(to_string(mode)) + ")");
   }
 
   Executor resolved = *this;
@@ -71,7 +57,6 @@ Executor Executor::validate(const Environment& env) const {
                                                 : "delivery is not instant")
                                         << " (order-dependent environment)");
     resolved.mode = ExecutionMode::kSerial;
-    resolved.shards = 0;
   }
   return resolved;
 }

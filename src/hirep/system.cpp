@@ -742,19 +742,6 @@ void HirepSystem::send_report(TxnCtx& ctx, Peer& reporter, AgentEntry& entry,
     // A report needs no acknowledgement: even a copy that arrived past the
     // reporter's deadline is applied (at most once) at the agent.
     if (!routed.applied) return;  // report lost: agent never learns of it
-    if (defer_cross_shard(ctx, ref.ip)) {
-      // Wire delivery and accounting happened on this shard's lane; the
-      // state application crosses a shard boundary and waits for the
-      // barrier (DESIGN.md §14).
-      if constexpr (obs::kEnabled) {
-        static obs::Counter& deferred = obs::Registry::global().counter(
-            "hirep.engine.cross_shard_reports");
-        deferred.add();
-      }
-      ctx.report_outbox->push_back(
-          {ctx.txn_index, ref.ip, subject_id, outcome, {}});
-      return;
-    }
     util::MutexLock lock(*rt->mu);
     rt->agent->accept_report(subject_id, outcome);
     return;
@@ -766,18 +753,6 @@ void HirepSystem::send_report(TxnCtx& ctx, Peer& reporter, AgentEntry& entry,
                                      report.serialize(),
                                      net::EnvelopeType::kReport);
   if (!routed.delivered) return;
-  if (defer_cross_shard(ctx, ref.ip)) {
-    // The delivered envelope payload is replayed verbatim at the barrier:
-    // deserialize / lookup_key / verify / accept all run there.
-    if constexpr (obs::kEnabled) {
-      static obs::Counter& deferred = obs::Registry::global().counter(
-          "hirep.engine.cross_shard_reports");
-      deferred.add();
-    }
-    ctx.report_outbox->push_back(
-        {ctx.txn_index, ref.ip, subject_id, outcome, routed.payload});
-    return;
-  }
   const auto parsed = TransactionReport::deserialize(routed.payload);
   if (!parsed) return;
   // lookup_key returns the key by value, so the signature check (the
@@ -792,28 +767,6 @@ void HirepSystem::send_report(TxnCtx& ctx, Peer& reporter, AgentEntry& entry,
   if (!opened) return;  // bad signature: drop
   util::MutexLock lock(*rt->mu);
   rt->agent->accept_report(opened->subject, opened->outcome);
-}
-
-void HirepSystem::apply_deferred_report(const DeferredReport& dr) {
-  AgentRuntime& rt = agent_runtimes_[dr.agent_ip];
-  if (dr.wire.empty()) {  // fast crypto: apply subject + outcome directly
-    util::MutexLock lock(*rt.mu);
-    rt.agent->accept_report(dr.subject, dr.outcome);
-    return;
-  }
-  // Full crypto: the receiving agent's §3.5.3 path, same drops as inline.
-  const auto parsed = TransactionReport::deserialize(dr.wire);
-  if (!parsed) return;
-  std::optional<crypto::RsaPublicKey> sp;
-  {
-    util::MutexLock lock(*rt.mu);
-    sp = rt.agent->lookup_key(parsed->reporter);
-  }
-  if (!sp) return;  // unknown reporter: §3.5.3 drop
-  const auto opened = verify_report(*sp, *parsed);
-  if (!opened) return;  // bad signature: drop
-  util::MutexLock lock(*rt.mu);
-  rt.agent->accept_report(opened->subject, opened->outcome);
 }
 
 void HirepSystem::report_batch(TxnCtx& ctx, Peer& reporter,
@@ -837,16 +790,6 @@ void HirepSystem::report_batch(TxnCtx& ctx, Peer& reporter,
   for (std::size_t i = 0; i < routed.size(); ++i) {
     ctx.trust_messages += routed[i].messages;
     if (!routed[i].applied) continue;  // report lost: agent never learns
-    if (defer_cross_shard(ctx, targets[i].ip)) {
-      if constexpr (obs::kEnabled) {
-        static obs::Counter& deferred = obs::Registry::global().counter(
-            "hirep.engine.cross_shard_reports");
-        deferred.add();
-      }
-      ctx.report_outbox->push_back(
-          {ctx.txn_index, targets[i].ip, subject_id, outcome, {}});
-      continue;
-    }
     util::MutexLock lock(*targets[i].rt->mu);
     targets[i].rt->agent->accept_report(subject_id, outcome);
   }
@@ -973,12 +916,8 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
       std::string_view(transport_.policy().name()) == "instant";
   if (exec.concurrent() && !instant) {
     throw std::invalid_argument(
-        "run_transactions: parallel/sharded execution requires instant "
-        "delivery (lossy/delayed/chaotic transports are order-dependent)");
-  }
-  if (exec.shards != 0 && exec.mode != ExecutionMode::kSharded) {
-    throw std::invalid_argument(
-        "run_transactions: shards requires ExecutionMode::kSharded");
+        "run_transactions: parallel execution requires instant delivery "
+        "(lossy/delayed/chaotic transports are order-dependent)");
   }
   for (const auto& [r, p] : pairs) {
     if (r >= peers_.size() || p >= peers_.size() || r == p) {
@@ -991,20 +930,15 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
     maintenance_rng_.emplace(util::splitmix64(s));
   }
 
-  const bool sharded = exec.mode == ExecutionMode::kSharded;
   std::size_t lane_count = 1;
-  std::size_t shard_count = 1;
   if (exec.concurrent()) {
     if (!pool_ || (exec.threads != 0 && pool_->size() != exec.threads)) {
       pool_ = std::make_unique<util::ThreadPool>(exec.threads);
     }
-    // Sharded: one lane per shard, keyed by shard id, stable across waves.
-    // Parallel: one lane per worker, keyed by chunk index.  Lane transports
-    // draw nothing under instant delivery, so lane count/assignment cannot
+    // One lane per worker, keyed by chunk index.  Lane transports draw
+    // nothing under instant delivery, so lane count/assignment cannot
     // perturb a single byte.
-    lane_count = sharded ? (exec.shards != 0 ? exec.shards : pool_->size())
-                         : pool_->size();
-    if (sharded) shard_count = lane_count;
+    lane_count = pool_->size();
     while (lanes_.size() < lane_count) {
       lanes_.push_back(std::make_unique<net::Transport>(
           &overlay_, options_.delivery,
@@ -1020,12 +954,6 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
   std::vector<std::uint8_t> busy(peers_.size(), 0);
   std::vector<std::size_t> wave;
   std::vector<std::vector<std::uint64_t>> reserved;
-  // Sharded scratch, reused across waves (DESIGN.md §14).
-  std::vector<std::vector<std::size_t>> shard_slots;
-  std::vector<std::vector<DeferredReport>> outboxes;
-  std::vector<DeferredReport> exchange;
-  std::vector<std::uint32_t> exchange_order;
-  std::vector<net::ReceiptGroup> exchange_groups;
   std::size_t next = 0;
 
   while (next < pairs.size()) {
@@ -1072,9 +1000,7 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
     }
 
     const auto run_one = [&](std::size_t j, net::Transport& lane,
-                             net::ReliableChannel& channel,
-                             std::size_t home_shard,
-                             std::vector<DeferredReport>* outbox) {
+                             net::ReliableChannel& channel) {
       const std::size_t i = wave[j];
       util::Rng rng = txn_stream(txn_counter_ + i);
       TxnCtx ctx;
@@ -1083,10 +1009,6 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
       ctx.channel = &channel;
       if (instant) ctx.reserved_sqs = &reserved[j];
       ctx.defer_refill = true;
-      ctx.shard_count = shard_count;
-      ctx.home_shard = home_shard;
-      ctx.txn_index = txn_counter_ + i;
-      ctx.report_outbox = outbox;
       const auto [r, p] = pairs[i];
       const QueryResult query = query_trust(ctx, r, p);
       records[i] = complete_transaction(ctx, r, p, query);
@@ -1094,76 +1016,14 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
       wants_refill[i] = ctx.wants_refill ? 1 : 0;
     };
 
-    if (sharded && wave.size() > 1) {
-      // Shard partition: a transaction's home shard is its requestor's
-      // `node % shard_count`.  Ascending j within a slot keeps each
-      // shard's slice in transaction order; every report a transaction
-      // sends lands in its home shard's outbox in send order.
-      shard_slots.assign(shard_count, {});
-      outboxes.assign(shard_count, {});
-      for (std::size_t j = 0; j < wave.size(); ++j) {
-        shard_slots[pairs[wave[j]].first % shard_count].push_back(j);
-      }
-      pool_->parallel_for(shard_count, [&](std::size_t s) {
-        for (const std::size_t j : shard_slots[s]) {
-          run_one(j, *lanes_[s], *lane_channels_[s], s, &outboxes[s]);
-        }
-      });
-
-      // Barrier step 1 — deterministic cross-shard report exchange: merge
-      // every shard's outbox, restore serial transaction order (stable
-      // sort keeps one transaction's reports in send order), then group by
-      // destination shard through the same grouped-visit engine the
-      // envelope batches drain with.  Groups touch disjoint agents
-      // (destination shards partition agents), so they apply in parallel;
-      // within a group, reports apply in serial order.
-      exchange.clear();
-      for (auto& outbox : outboxes) {
-        for (auto& dr : outbox) exchange.push_back(std::move(dr));
-      }
-      std::stable_sort(exchange.begin(), exchange.end(),
-                       [](const DeferredReport& a, const DeferredReport& b) {
-                         return a.txn < b.txn;
-                       });
-      exchange_groups.clear();
-      net::visit_groups(
-          exchange.size(), [](std::uint32_t) { return true; },
-          [&](std::uint32_t i) {
-            return static_cast<std::uint64_t>(exchange[i].agent_ip) %
-                   shard_count;
-          },
-          exchange_order,
-          [&](const net::ReceiptGroup& g) { exchange_groups.push_back(g); });
-      pool_->parallel_for(exchange_groups.size(), [&](std::size_t g) {
-        for (const std::uint32_t i : exchange_groups[g].entries) {
-          apply_deferred_report(exchange[i]);
-        }
-      });
-
-      // Barrier step 2 — fold lane envelope counters back into the primary
-      // transport so its totals match a serial run, release each lane's
-      // payload arena (batches never outlive a wave, so lane memory stays
-      // flat), and align every shard's event clock to the latest shard
-      // (a no-op under instant delivery, where clocks never move).
-      double latest = transport_.sim().now();
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        transport_.absorb_envelopes(*lanes_[s]);
-        lanes_[s]->arena().reset();
-        latest = std::max(latest, lanes_[s]->sim().now());
-      }
-      transport_.sim().advance_to(latest);
-      for (std::size_t s = 0; s < shard_count; ++s) {
-        lanes_[s]->sim().advance_to(latest);
-      }
-    } else if (!sharded && exec.concurrent() && lane_count > 1 &&
-               wave.size() > 1) {
+    if (lane_count > 1 && wave.size() > 1) {
       const std::size_t lanes_used = std::min(lane_count, wave.size());
       const std::size_t per = (wave.size() + lanes_used - 1) / lanes_used;
       pool_->parallel_for(lanes_used, [&](std::size_t lane) {
         const std::size_t begin = lane * per;
         const std::size_t end = std::min(wave.size(), begin + per);
         for (std::size_t j = begin; j < end; ++j) {
-          run_one(j, *lanes_[lane], *lane_channels_[lane], 0, nullptr);
+          run_one(j, *lanes_[lane], *lane_channels_[lane]);
         }
       });
       // Barrier: fold lane envelope counters back into the primary
@@ -1175,19 +1035,17 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
         lanes_[lane]->arena().reset();
       }
     } else {
-      // Serial reference (also a single-transaction wave under any mode:
-      // with one transaction there is nothing to exchange, so the
-      // home-shard context is irrelevant and inline application matches
-      // the barrier replay byte for byte).
+      // Serial reference (also a single-transaction wave under either
+      // mode: one transaction has nothing to run concurrently with).
       for (std::size_t j = 0; j < wave.size(); ++j) {
-        run_one(j, transport_, reliable_, 0, nullptr);
+        run_one(j, transport_, reliable_);
       }
     }
 
     // Deferred §3.4.3 maintenance: serial, in transaction order, on its
     // own stream — refills never perturb any transaction's draws.  Runs
-    // after the cross-shard exchange, matching the serial order in which
-    // every report of a wave precedes every refill of that wave.
+    // after the whole wave, so under either engine every report of a wave
+    // precedes every refill of that wave.
     for (std::size_t j = 0; j < wave.size(); ++j) {
       const std::size_t i = wave[j];
       if (!wants_refill[i]) continue;

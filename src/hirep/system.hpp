@@ -214,20 +214,14 @@ class HirepSystem {
   ///
   /// Each transaction draws from its own RNG stream derived from
   /// (options.seed, lifetime transaction index), never from rng(), so the
-  /// result is a pure function of the transaction sequence: serial,
-  /// parallel, and sharded execution return byte-identical records, and
-  /// splitting a sequence into consecutive batches (checkpointed
-  /// experiments) yields the same records as one big batch.  Execution
-  /// proceeds in conflict-free prefix waves — transactions run
-  /// concurrently while their requestor/provider nodes are all distinct,
-  /// capped at exec.wave_window per wave — and §3.4.3 refills are deferred
-  /// to each wave's barrier, serial in transaction order.
-  ///
-  /// Under ExecutionMode::kSharded, agents are partitioned into
-  /// exec.shards shards by node index; each wave splits by the requestor's
-  /// home shard, shards execute their slices on their own transport
-  /// lane/arena/event queue, and cross-shard report envelopes are
-  /// exchanged deterministically at the wave barrier (DESIGN.md §14).
+  /// result is a pure function of the transaction sequence: serial and
+  /// parallel execution return byte-identical records, and splitting a
+  /// sequence into consecutive batches (checkpointed experiments) yields
+  /// the same records as one big batch.  Execution proceeds in
+  /// conflict-free prefix waves — transactions run concurrently while
+  /// their requestor/provider nodes are all distinct, capped at
+  /// exec.wave_window per wave — and §3.4.3 refills are deferred to each
+  /// wave's barrier, serial in transaction order.
   ///
   /// Throws std::invalid_argument on an out-of-range or requestor==provider
   /// pair, and when exec is concurrent while the delivery policy is not
@@ -288,21 +282,6 @@ class HirepSystem {
   /// Installs agent state for node v (relays shared with its peer).
   void make_agent(net::NodeIndex v, const crypto::Identity* identity);
 
-  /// One report whose wire delivery already happened on the sending shard's
-  /// lane but whose agent-state application crosses a shard boundary.
-  /// Collected per shard during a wave and replayed at the barrier in
-  /// serial transaction order (DESIGN.md §14).  An empty `wire` marks a
-  /// fast-crypto report (subject + outcome applied directly); a non-empty
-  /// `wire` is a full-crypto TransactionReport envelope payload that still
-  /// needs lookup_key / verify / accept at the receiving agent.
-  struct DeferredReport {
-    std::uint64_t txn = 0;          ///< lifetime transaction index
-    net::NodeIndex agent_ip = net::kInvalidNode;
-    crypto::NodeId subject{};
-    double outcome = 0.0;
-    util::Bytes wire;
-  };
-
   /// Everything one in-flight transaction threads through the protocol
   /// stack: its RNG stream, the transport lane it sends on, pre-reserved
   /// onion sequence numbers, and its own message/maintenance accounting.
@@ -324,15 +303,6 @@ class HirepSystem {
     /// inside the wave (it mutates shared discovery state).
     bool defer_refill = false;
     bool wants_refill = false;
-    // Sharded engine (DESIGN.md §14): agents are partitioned by
-    // `node index % shard_count`.  A report whose receiving agent lives on
-    // a foreign shard is sent on this shard's lane (wire traffic and
-    // message accounting stay local) but its state application is queued
-    // into `report_outbox` and replayed at the wave barrier.
-    std::size_t shard_count = 1;
-    std::size_t home_shard = 0;
-    std::uint64_t txn_index = 0;       ///< lifetime index, for barrier ordering
-    std::vector<DeferredReport>* report_outbox = nullptr;
   };
   TxnCtx legacy_ctx() noexcept { return TxnCtx{&rng_, &transport_, &reliable_}; }
   /// The (seed, index)-derived RNG stream for lifetime transaction `index`.
@@ -370,17 +340,6 @@ class HirepSystem {
 
   void send_report(TxnCtx& ctx, Peer& reporter, AgentEntry& entry,
                    const crypto::NodeId& subject_id, double outcome);
-
-  /// True when ctx runs sharded and the receiving agent lives on a foreign
-  /// shard — its state application must be queued, not run inline.
-  static bool defer_cross_shard(const TxnCtx& ctx, net::NodeIndex agent_ip) {
-    return ctx.report_outbox != nullptr &&
-           agent_ip % ctx.shard_count != ctx.home_shard;
-  }
-  /// Replays one cross-shard report at the wave barrier: fast-crypto
-  /// reports apply subject+outcome under the agent mutex; full-crypto
-  /// reports run the receiving agent's lookup_key / verify / accept path.
-  void apply_deferred_report(const DeferredReport& dr);
 
   /// Fast-crypto §3.6 fan-out: all of one transaction's reports in one
   /// envelope batch through ctx.channel.

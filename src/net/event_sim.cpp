@@ -1,7 +1,6 @@
 #include "net/event_sim.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "check/invariants.hpp"
 #include "obs/metrics.hpp"
@@ -74,15 +73,6 @@ std::size_t EventSim::run_until(double deadline) {
     queue_depth_gauge().set(static_cast<std::int64_t>(queue_.size()));
   }
   return executed;
-}
-
-void EventSim::advance_to(double t) {
-  if (t <= now_) return;
-  if (!queue_.empty() && queue_.top().at < t) {
-    throw std::logic_error(
-        "EventSim::advance_to would jump over a pending event");
-  }
-  now_ = t;
 }
 
 void EventSim::reset() {

@@ -28,14 +28,6 @@ class EventSim {
   /// Runs events with time <= deadline. Returns events executed.
   std::size_t run_until(double deadline);
 
-  /// Clamps the clock forward to `t` without executing anything; a no-op
-  /// when t <= now.  Throws std::logic_error if an event earlier than `t`
-  /// is still pending — jumping over it would violate the monotone-clock
-  /// invariant.  The sharded scale engine aligns every shard's event queue
-  /// to the latest shard clock at each wave barrier (DESIGN.md §14), so
-  /// the next wave starts from one common simulated time.
-  void advance_to(double t);
-
   /// Drops all pending events and resets the clock to zero.
   void reset();
 

@@ -119,38 +119,27 @@ std::size_t EnvelopeBatch::push(EnvelopeType type, NodeIndex sender,
   return entries_.size() - 1;
 }
 
-void visit_groups(std::size_t count,
-                  const std::function<bool(std::uint32_t)>& filter,
-                  const std::function<std::uint64_t(std::uint32_t)>& key_of,
-                  std::vector<std::uint32_t>& order,
-                  const std::function<void(const ReceiptGroup&)>& fn) {
-  order.clear();
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (filter(i)) order.push_back(i);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&key_of](std::uint32_t a, std::uint32_t b) {
-                     return key_of(a) < key_of(b);
-                   });
-  std::size_t at = 0;
-  while (at < order.size()) {
-    const std::uint64_t key = key_of(order[at]);
-    std::size_t end = at + 1;
-    while (end < order.size() && key_of(order[end]) == key) ++end;
-    fn(ReceiptGroup{key, std::span(order).subspan(at, end - at)});
-    at = end;
-  }
-}
-
 void EnvelopeBatch::drain_groups(
     const std::function<std::uint64_t(std::size_t, const DeliveryReceipt&)>&
         key_of,
     const std::function<void(const ReceiptGroup&)>& fn) const {
-  visit_groups(
-      receipts_.size(),
-      [this](std::uint32_t i) { return receipts_[i].delivered; },
-      [this, &key_of](std::uint32_t i) { return key_of(i, receipts_[i]); },
-      order_, fn);
+  const auto key = [&](std::uint32_t i) { return key_of(i, receipts_[i]); };
+  order_.clear();
+  for (std::uint32_t i = 0; i < receipts_.size(); ++i) {
+    if (receipts_[i].delivered) order_.push_back(i);
+  }
+  std::stable_sort(order_.begin(), order_.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return key(a) < key(b);
+                   });
+  std::size_t at = 0;
+  while (at < order_.size()) {
+    const std::uint64_t k = key(order_[at]);
+    std::size_t end = at + 1;
+    while (end < order_.size() && key(order_[end]) == k) ++end;
+    fn(ReceiptGroup{k, std::span(order_).subspan(at, end - at)});
+    at = end;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -153,26 +153,11 @@ class Transport;
 
 /// One contiguous run of a grouped drain: the shared key and the entry
 /// indices carrying it, in original (stable) order.  The span points into
-/// the caller-visible order scratch and stays valid until the next grouped
-/// visit on the same owner.
+/// the batch's ordering buffer and stays valid until its next drain_groups.
 struct ReceiptGroup {
   std::uint64_t key = 0;
   std::span<const std::uint32_t> entries;
 };
-
-/// The grouping engine shared by EnvelopeBatch::drain_groups and the scale
-/// engine's shard-boundary exchange (DESIGN.md §14): appends to `order` the
-/// indices in [0, count) accepted by `filter`, stable-sorts them by
-/// `key_of` ascending, then invokes `fn` once per contiguous key run.
-/// `order` is caller-owned scratch (cleared here, reusable across calls);
-/// the ReceiptGroup spans handed to `fn` point into it and remain valid
-/// until `order` is next mutated, so callers may collect groups and fan
-/// them out to workers after this returns.
-void visit_groups(std::size_t count,
-                  const std::function<bool(std::uint32_t)>& filter,
-                  const std::function<std::uint64_t(std::uint32_t)>& key_of,
-                  std::vector<std::uint32_t>& order,
-                  const std::function<void(const ReceiptGroup&)>& fn);
 
 /// A set of independent envelopes built up by one call site and carried by
 /// Transport::send_batch in one pass.  Payload bytes are interned into the
@@ -209,10 +194,9 @@ class EnvelopeBatch {
   /// Visits every *delivered* receipt grouped by `key_of(entry, receipt)`
   /// (ascending key, stable by entry order within a key), one ReceiptGroup
   /// per distinct key, so a consumer touching per-key state absorbs
-  /// contiguous runs — per-destination absorption (key = destination) and
-  /// the scale engine's shard-boundary exchange (key = destination shard)
-  /// are the same visit.  Only valid for order-insensitive consumers —
-  /// per-key state is fine, a cross-entry float accumulation is not.
+  /// contiguous runs (e.g. per-destination absorption, key = destination).
+  /// Only valid for order-insensitive consumers — per-key state is fine, a
+  /// cross-entry float accumulation is not.
   void drain_groups(
       const std::function<std::uint64_t(std::size_t, const DeliveryReceipt&)>&
           key_of,

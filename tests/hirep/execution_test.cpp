@@ -19,12 +19,6 @@ TEST(Executor, NamedConstructorsSetTheObviousFields) {
   EXPECT_EQ(par.threads, 6u);
   EXPECT_TRUE(par.concurrent());
 
-  const Executor sh = Executor::sharded(4, 2);
-  EXPECT_EQ(sh.mode, ExecutionMode::kSharded);
-  EXPECT_EQ(sh.shards, 4u);
-  EXPECT_EQ(sh.threads, 2u);
-  EXPECT_TRUE(sh.concurrent());
-
   // The default matches the old ExecutionPolicy default: parallel, 0 =
   // hardware threads.
   EXPECT_EQ(Executor{}.mode, ExecutionMode::kParallel);
@@ -32,8 +26,7 @@ TEST(Executor, NamedConstructorsSetTheObviousFields) {
 }
 
 TEST(Executor, ModeNamesRoundTrip) {
-  for (ExecutionMode mode : {ExecutionMode::kSerial, ExecutionMode::kParallel,
-                             ExecutionMode::kSharded}) {
+  for (ExecutionMode mode : {ExecutionMode::kSerial, ExecutionMode::kParallel}) {
     const auto back = execution_mode_by_name(to_string(mode));
     ASSERT_TRUE(back.has_value()) << to_string(mode);
     EXPECT_EQ(*back, mode);
@@ -45,12 +38,12 @@ TEST(Executor, ModeNamesRoundTrip) {
 
 TEST(ExecutorValidate, PassesThroughUnderInstantDelivery) {
   const Executor::Environment instant;  // defaults: instant, no chaos
-  const Executor resolved = Executor::sharded(4, 2).validate(instant);
-  EXPECT_EQ(resolved.mode, ExecutionMode::kSharded);
-  EXPECT_EQ(resolved.shards, 4u);
+  Executor exec = Executor::parallel(2);
+  exec.wave_window = 64;
+  const Executor resolved = exec.validate(instant);
+  EXPECT_EQ(resolved.mode, ExecutionMode::kParallel);
   EXPECT_EQ(resolved.threads, 2u);
-  EXPECT_EQ(Executor::parallel().validate(instant).mode,
-            ExecutionMode::kParallel);
+  EXPECT_EQ(resolved.wave_window, 64u);
   EXPECT_EQ(Executor::serial().validate(instant).mode, ExecutionMode::kSerial);
 }
 
@@ -61,34 +54,24 @@ TEST(ExecutorValidate, DowngradesConcurrentEnginesToSerial) {
   chaotic.chaos = true;
 
   for (const auto& env : {lossy, chaotic}) {
-    for (const Executor exec :
-         {Executor::parallel(4), Executor::sharded(4, 2)}) {
-      const Executor resolved = exec.validate(env);
-      EXPECT_EQ(resolved.mode, ExecutionMode::kSerial);
-      EXPECT_EQ(resolved.shards, 0u);  // shard knob cleared with the mode
-    }
+    const Executor resolved = Executor::parallel(4).validate(env);
+    EXPECT_EQ(resolved.mode, ExecutionMode::kSerial);
     // Serial stays serial — nothing to downgrade.
     EXPECT_EQ(Executor::serial().validate(env).mode, ExecutionMode::kSerial);
   }
 }
 
-TEST(ExecutorValidate, RejectsWrappedNegativesAndMisplacedShardKnob) {
+TEST(ExecutorValidate, RejectsWrappedNegatives) {
   const Executor::Environment env;
   EXPECT_THROW(Executor::parallel(5000).validate(env), std::invalid_argument);
-  EXPECT_THROW(Executor::sharded(5000).validate(env), std::invalid_argument);
   Executor window = Executor::parallel();
   window.wave_window = 2'000'000'000;
   EXPECT_THROW(window.validate(env), std::invalid_argument);
 
-  // shards on a non-sharded engine is a configuration error, not a silent
-  // ignore.
-  Executor misplaced = Executor::parallel();
-  misplaced.shards = 4;
-  EXPECT_THROW(misplaced.validate(env), std::invalid_argument);
-
   // Boundary values stay legal.
   EXPECT_NO_THROW(Executor::parallel(4096).validate(env));
-  EXPECT_NO_THROW(Executor::sharded(4096).validate(env));
+  window.wave_window = 1'000'000'000;
+  EXPECT_NO_THROW(window.validate(env));
 }
 
 }  // namespace

@@ -257,8 +257,7 @@ TEST(Recovery, QuarantineKeepsReservedOnionSqsAlignedOnEveryExecutor) {
   }
   const std::span<const std::pair<net::NodeIndex, net::NodeIndex>> all(pairs);
 
-  for (const Executor& exec :
-       {Executor::serial(), Executor::parallel(2), Executor::sharded(3, 2)}) {
+  for (const Executor& exec : {Executor::serial(), Executor::parallel(2)}) {
     SCOPED_TRACE(to_string(exec.mode));
     HirepSystem sys(o);
     check::ScopedCapture capture;

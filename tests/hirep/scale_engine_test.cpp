@@ -1,15 +1,18 @@
 // Property tests for the batched transaction engine: parallel execution
-// must be byte-identical to serial execution (DESIGN.md §9), batches must
-// compose, and invalid inputs must be rejected up front.
+// must be byte-identical to serial execution (DESIGN.md §9) — records,
+// message totals, envelope counters, and protocol-level obs counters —
+// batches must compose, and invalid inputs must be rejected up front.
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "hirep/system.hpp"
+#include "obs/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace hirep {
@@ -59,6 +62,99 @@ void expect_records_identical(const std::vector<Record>& a,
               std::bit_cast<std::uint64_t>(b[i].outcome));
     EXPECT_EQ(a[i].responses, b[i].responses);
     EXPECT_EQ(a[i].trust_messages, b[i].trust_messages);
+  }
+}
+
+/// Everything one engine run leaves behind that the determinism contract
+/// covers: the record stream, message totals, per-type envelope counters,
+/// and the protocol-level (hirep.*) obs counters.
+struct RunTrace {
+  std::vector<Record> records;
+  std::uint64_t trust_messages = 0;
+  std::uint64_t overlay_total = 0;
+  std::vector<net::EnvelopeMetrics::Counters> envelopes;
+  std::vector<obs::Snapshot::CounterEntry> protocol_counters;
+};
+
+RunTrace run_trace(const HirepOptions& opts, std::span<const Pair> pairs,
+                   const Executor& exec) {
+  if constexpr (obs::kEnabled) obs::Registry::global().reset();
+  HirepSystem system(opts);
+  RunTrace trace;
+  trace.records = system.run_transactions(pairs, exec);
+  trace.trust_messages = system.trust_message_total();
+  trace.overlay_total = system.overlay().metrics().total();
+  const auto count = static_cast<std::size_t>(net::EnvelopeType::kCount);
+  for (std::size_t t = 0; t < count; ++t) {
+    trace.envelopes.push_back(
+        system.transport().envelopes().of(static_cast<net::EnvelopeType>(t)));
+  }
+  if constexpr (obs::kEnabled) {
+    for (auto& entry : obs::Registry::global().snapshot().counters) {
+      if (entry.name.rfind("hirep.", 0) != 0) continue;
+      trace.protocol_counters.push_back(std::move(entry));
+    }
+  }
+  return trace;
+}
+
+void expect_traces_identical(const RunTrace& serial, const RunTrace& other) {
+  expect_records_identical(serial.records, other.records);
+  EXPECT_EQ(serial.trust_messages, other.trust_messages);
+  EXPECT_EQ(serial.overlay_total, other.overlay_total);
+  ASSERT_EQ(serial.envelopes.size(), other.envelopes.size());
+  for (std::size_t t = 0; t < serial.envelopes.size(); ++t) {
+    SCOPED_TRACE("envelope type " + std::to_string(t));
+    const auto& a = serial.envelopes[t];
+    const auto& b = other.envelopes[t];
+    EXPECT_EQ(a.sent, b.sent);
+    EXPECT_EQ(a.delivered, b.delivered);
+    EXPECT_EQ(a.dropped, b.dropped);
+    EXPECT_EQ(a.hop_messages, b.hop_messages);
+    EXPECT_EQ(a.payload_bytes_sent, b.payload_bytes_sent);
+    EXPECT_EQ(a.payload_bytes_delivered, b.payload_bytes_delivered);
+  }
+  ASSERT_EQ(serial.protocol_counters.size(), other.protocol_counters.size());
+  for (std::size_t i = 0; i < serial.protocol_counters.size(); ++i) {
+    EXPECT_EQ(serial.protocol_counters[i].name,
+              other.protocol_counters[i].name);
+    EXPECT_EQ(serial.protocol_counters[i].value,
+              other.protocol_counters[i].value)
+        << serial.protocol_counters[i].name;
+  }
+}
+
+TEST(ScaleEngine, ParallelTraceMatchesSerialAcrossSeeds) {
+  // The pinned golden property: for 20 seeds and 2 or 4 workers, the
+  // parallel engine reproduces the serial reference's full trace to the
+  // bit, not just its records.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const auto opts = fast_options(seed, 96);
+    const auto pairs = draw_pairs(seed, opts.nodes, 48);
+    const auto serial = run_trace(opts, pairs, Executor::serial());
+    for (std::size_t threads : {2UL, 4UL}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " threads " +
+                   std::to_string(threads));
+      expect_traces_identical(
+          serial, run_trace(opts, pairs, Executor::parallel(threads)));
+    }
+  }
+}
+
+TEST(ScaleEngine, EqualWaveWindowsCompareAcrossEngines) {
+  // The wave window moves barriers (hence deferred-maintenance timing), so
+  // the byte-identity contract is per-window: serial and parallel agree
+  // whenever their windows agree.
+  const auto opts = fast_options(31, 96);
+  const auto pairs = draw_pairs(31, opts.nodes, 64);
+  for (std::size_t window : {1UL, 5UL, 16UL}) {
+    SCOPED_TRACE("wave_window " + std::to_string(window));
+    Executor serial = Executor::serial();
+    serial.wave_window = window;
+    Executor parallel = Executor::parallel(4);
+    parallel.wave_window = window;
+    expect_traces_identical(run_trace(opts, pairs, serial),
+                            run_trace(opts, pairs, parallel));
   }
 }
 

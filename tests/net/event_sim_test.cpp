@@ -1,7 +1,5 @@
 #include "net/event_sim.hpp"
 
-#include <stdexcept>
-
 #include <gtest/gtest.h>
 
 namespace hirep::net {
@@ -72,33 +70,6 @@ TEST(EventSim, CascadingEvents) {
   sim.schedule_at(0.0, cascade);
   EXPECT_EQ(sim.run(), 10u);
   EXPECT_DOUBLE_EQ(sim.now(), 9.0);
-}
-
-TEST(EventSim, AdvanceToMovesTheIdleClockForward) {
-  // The shard barrier aligns every lane's queue to the latest shard clock.
-  EventSim sim;
-  sim.advance_to(4.5);
-  EXPECT_DOUBLE_EQ(sim.now(), 4.5);
-  // Moving backwards (or to the same instant) is a no-op, not a rewind.
-  sim.advance_to(2.0);
-  EXPECT_DOUBLE_EQ(sim.now(), 4.5);
-  sim.advance_to(4.5);
-  EXPECT_DOUBLE_EQ(sim.now(), 4.5);
-  // Events scheduled afterwards run relative to the advanced clock.
-  double fired_at = -1.0;
-  sim.schedule_in(1.0, [&] { fired_at = sim.now(); });
-  sim.run();
-  EXPECT_DOUBLE_EQ(fired_at, 5.5);
-}
-
-TEST(EventSim, AdvanceToRefusesToJumpOverPendingEvents) {
-  EventSim sim;
-  sim.schedule_at(3.0, [] {});
-  EXPECT_THROW(sim.advance_to(3.5), std::logic_error);
-  // Advancing up to (but not past) the pending event is legal.
-  sim.advance_to(3.0);
-  EXPECT_DOUBLE_EQ(sim.now(), 3.0);
-  EXPECT_EQ(sim.pending(), 1u);
 }
 
 TEST(EventSim, ResetClearsEverything) {

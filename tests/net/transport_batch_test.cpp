@@ -263,7 +263,7 @@ TEST(EnvelopeBatch, DrainGroupsSupportsArbitraryKeys) {
   }
   transport.send_batch(batch);
 
-  // Key by destination parity — the shard-exchange shape (ip % K).
+  // Key by destination parity: any function of the receipt is a key.
   std::vector<std::uint64_t> keys;
   std::vector<std::size_t> sizes;
   batch.drain_groups(

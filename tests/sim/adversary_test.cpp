@@ -4,7 +4,7 @@
 // (collusion ring, sybil floods, whitewashing, on-off oscillators, front
 // peers), the §3.4.3 quarantine ladder evicting sybil-corrupted agents,
 // and bit-identical replay of a full campaign across runs and across the
-// serial | parallel | sharded executors.
+// serial | parallel executors.
 #include "sim/adversary.hpp"
 
 #include <gtest/gtest.h>
@@ -417,11 +417,9 @@ TEST(AdversaryReplay, FullCampaignIsBitIdenticalAcrossRunsAndExecutors) {
   const auto serial = run(core::Executor::serial());
   const auto serial_again = run(core::Executor::serial());
   const auto parallel = run(core::Executor::parallel());
-  const auto sharded = run(core::Executor::sharded(4));
 
   expect_records_bit_identical(serial.first, serial_again.first);
   expect_records_bit_identical(serial.first, parallel.first);
-  expect_records_bit_identical(serial.first, sharded.first);
   const auto expect_counters_equal = [](const Adversary::Counters& a,
                                         const Adversary::Counters& b) {
     EXPECT_EQ(a.ring_recruits, b.ring_recruits);
@@ -437,7 +435,6 @@ TEST(AdversaryReplay, FullCampaignIsBitIdenticalAcrossRunsAndExecutors) {
   };
   expect_counters_equal(serial.second, serial_again.second);
   expect_counters_equal(serial.second, parallel.second);
-  expect_counters_equal(serial.second, sharded.second);
   // The campaign genuinely fired.
   EXPECT_EQ(serial.second.ring_recruits, 4u);
   EXPECT_EQ(serial.second.sybil_joins, 2u);
@@ -452,10 +449,6 @@ TEST(AdversaryExecution, ScenarioPerformsNoExecutorDowngrade) {
   p.adversary = "on";
   EXPECT_EQ(Scenario(p).execution_policy().mode,
             core::ExecutionMode::kParallel);
-  p.execution = "sharded";
-  p.shards = 4;
-  EXPECT_EQ(Scenario(p).execution_policy().mode,
-            core::ExecutionMode::kSharded);
 }
 
 }  // namespace

@@ -274,9 +274,6 @@ TEST(ChaosExecution, ParallelBatchesAreRejectedUnderChaos) {
   const std::vector<std::pair<net::NodeIndex, net::NodeIndex>> pairs{{0, 1}};
   EXPECT_THROW(sys.run_transactions(pairs, core::Executor::parallel()),
                std::invalid_argument);
-  // The sharded engine falls under the same rule.
-  EXPECT_THROW(sys.run_transactions(pairs, core::Executor::sharded(2)),
-               std::invalid_argument);
 }
 
 TEST(ChaosExecution, ScenarioDowngradesToSerialWhenChaosIsOn) {
@@ -288,16 +285,6 @@ TEST(ChaosExecution, ScenarioDowngradesToSerialWhenChaosIsOn) {
   p.chaos = "off";
   EXPECT_EQ(Scenario(p).execution_policy().mode,
             core::ExecutionMode::kParallel);
-  // chaos + sharded downgrades exactly like chaos + parallel.
-  p.execution = "sharded";
-  p.shards = 4;
-  p.chaos = "on";
-  const auto downgraded = Scenario(p).execution_policy();
-  EXPECT_EQ(downgraded.mode, core::ExecutionMode::kSerial);
-  EXPECT_EQ(downgraded.shards, 0u);
-  p.chaos = "off";
-  EXPECT_EQ(Scenario(p).execution_policy().mode,
-            core::ExecutionMode::kSharded);
 }
 
 TEST(ChaosReplay, FullChaoticRunIsBitIdentical) {

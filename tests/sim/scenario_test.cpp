@@ -223,20 +223,19 @@ TEST(ScenarioExecutionPolicy, ParallelOnlyUnderInstantDelivery) {
   EXPECT_EQ(sc.execution_policy().mode, core::ExecutionMode::kSerial);
 }
 
-TEST(ScenarioExecutionPolicy, ShardedKnobsProjectAndValidate) {
-  auto sc = Scenario().execution("sharded").shards(4).threads(2).wave_window(64);
+TEST(ScenarioExecutionPolicy, EngineKnobsProjectAndValidate) {
+  auto sc = Scenario().execution("parallel").threads(2).wave_window(64);
   sc.validate();
   const auto exec = sc.execution_policy();
-  EXPECT_EQ(exec.mode, core::ExecutionMode::kSharded);
-  EXPECT_EQ(exec.shards, 4u);
+  EXPECT_EQ(exec.mode, core::ExecutionMode::kParallel);
   EXPECT_EQ(exec.threads, 2u);
   EXPECT_EQ(exec.wave_window, 64u);
 
-  // Downgrade clears the shard count with the mode.
+  // The downgrade changes only the mode; the window still caps waves.
   sc.delivery("latency");
   const auto downgraded = sc.execution_policy();
   EXPECT_EQ(downgraded.mode, core::ExecutionMode::kSerial);
-  EXPECT_EQ(downgraded.shards, 0u);
+  EXPECT_EQ(downgraded.wave_window, 64u);
 }
 
 TEST(ScenarioValidate, RejectsNonsenseEngineKnobs) {
@@ -244,18 +243,16 @@ TEST(ScenarioValidate, RejectsNonsenseEngineKnobs) {
   // rejects it at config time rather than OOMing in the thread pool.
   EXPECT_THROW(Scenario(Params{.threads = 5000}).validate(),
                std::invalid_argument);
-  EXPECT_THROW(
-      Scenario(Params{.execution = "sharded", .shards = 5000}).validate(),
-      std::invalid_argument);
   EXPECT_THROW(Scenario(Params{.wave_window = 2'000'000'000}).validate(),
                std::invalid_argument);
   EXPECT_THROW(Scenario(Params{.execution = "bogus"}).validate(),
                std::invalid_argument);
-  // shards only makes sense under the sharded engine.
-  EXPECT_THROW(Scenario(Params{.execution = "parallel", .shards = 2}).validate(),
+  // A command line naming an engine that does not exist fails loudly
+  // rather than silently running another engine.
+  EXPECT_THROW(Scenario(Params{.execution = "sharded"}).validate(),
                std::invalid_argument);
-  EXPECT_NO_THROW(
-      Scenario(Params{.execution = "sharded", .shards = 8}).validate());
+  EXPECT_THROW(Scenario::from_config(cfg("execution=sharded shards=8")),
+               std::invalid_argument);
 }
 
 TEST(ScenarioBackCompat, ParamsFromConfigDelegatesToScenario) {
