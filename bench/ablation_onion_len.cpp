@@ -28,13 +28,7 @@ int main(int argc, char** argv) {
           core::HirepSystem system(p.hirep_options());
           util::RunningStats per_txn, response;
           for (int i = 0; i < 30; ++i) {
-            const auto requestor = static_cast<net::NodeIndex>(
-                system.rng().below(system.node_count()));
-            net::NodeIndex provider = requestor;
-            while (provider == requestor) {
-              provider = static_cast<net::NodeIndex>(
-                  system.rng().below(system.node_count()));
-            }
+            const auto [requestor, provider] = system.random_pair();
             response.add(
                 sim::hirep_query_response_ms(system, requestor, provider));
             per_txn.add(static_cast<double>(

@@ -38,28 +38,6 @@ namespace {
 
 using namespace hirep;
 
-constexpr std::uint64_t kWorkloadSalt = 0x5eedba5eca11f00dULL;
-
-std::vector<std::pair<net::NodeIndex, net::NodeIndex>> draw_pairs(
-    const sim::Params& p) {
-  util::Rng rng(p.seed ^ kWorkloadSalt);
-  const std::size_t rn = p.requestor_pool
-                             ? std::min(p.requestor_pool, p.network_size)
-                             : p.network_size;
-  const std::size_t pn = p.provider_pool
-                             ? std::min(p.provider_pool, p.network_size)
-                             : p.network_size;
-  std::vector<std::pair<net::NodeIndex, net::NodeIndex>> pairs;
-  pairs.reserve(p.transactions);
-  for (std::size_t i = 0; i < p.transactions; ++i) {
-    const auto r = static_cast<net::NodeIndex>(rng.below(rn));
-    auto q = r;
-    while (q == r) q = static_cast<net::NodeIndex>(rng.below(pn));
-    pairs.emplace_back(r, q);
-  }
-  return pairs;
-}
-
 /// One strategy condition: the adversary_* knob overrides it applies.
 struct Strategy {
   const char* name;
@@ -179,7 +157,7 @@ CellResult run_hirep(const sim::Params& p, std::size_t train) {
   core::HirepSystem system(p.hirep_options());
   const auto adversary = sim::install_adversary(system, p);
   const auto exec = sim::Scenario(p).execution_policy();
-  const auto pairs = draw_pairs(p);
+  const auto pairs = sim::draw_pairs(p, p.transactions);
   CellResult out;
   CellAccum acc(adversary, system.node_count());
   constexpr std::size_t kChunk = 25;
@@ -214,7 +192,7 @@ CellResult run_baseline(const sim::Params& p, std::size_t train,
         std::make_unique<BaselineHost<System>>(&system),
         sim::adversary_params_from(p), p.seed);
   }
-  const auto pairs = draw_pairs(p);
+  const auto pairs = sim::draw_pairs(p, p.transactions);
   CellResult out;
   CellAccum acc(adversary, system.truth().node_count());
   for (std::size_t i = 0; i < pairs.size(); ++i) {
@@ -283,10 +261,11 @@ int main(int argc, char** argv) {
                                                      p.trustme_options());
           const CellResult a =
               run_baseline<baselines::AbsoluteTrustSystem>(
-                  p, train, p.absolute_trust_options());
+                  p, train, baselines::AbsoluteTrustOptions{p.world_options()});
           const CellResult g =
               run_baseline<baselines::DifferentialGossipSystem>(
-                  p, train, p.differential_gossip_options());
+                  p, train,
+                  baselines::DifferentialGossipOptions{p.world_options()});
           table.add_row({s.name, h.mse, v.mse, t.mse, a.mse, g.mse});
           hirep_cells.push_back(h);
           voting_mse.push_back(v.mse);

@@ -29,30 +29,6 @@ namespace {
 
 using namespace hirep;
 
-constexpr std::uint64_t kWorkloadSalt = 0x5eedba5eca11f00dULL;
-
-/// Pool-aware workload, pre-drawn like the figure runners so the baseline
-/// and chaos runs (and the replay) execute the identical pair sequence.
-std::vector<std::pair<net::NodeIndex, net::NodeIndex>> draw_pairs(
-    const sim::Params& p) {
-  util::Rng rng(p.seed ^ kWorkloadSalt);
-  const std::size_t rn = p.requestor_pool
-                             ? std::min(p.requestor_pool, p.network_size)
-                             : p.network_size;
-  const std::size_t pn = p.provider_pool
-                             ? std::min(p.provider_pool, p.network_size)
-                             : p.network_size;
-  std::vector<std::pair<net::NodeIndex, net::NodeIndex>> pairs;
-  pairs.reserve(p.transactions);
-  for (std::size_t i = 0; i < p.transactions; ++i) {
-    const auto r = static_cast<net::NodeIndex>(rng.below(rn));
-    auto q = r;
-    while (q == r) q = static_cast<net::NodeIndex>(rng.below(pn));
-    pairs.emplace_back(r, q);
-  }
-  return pairs;
-}
-
 struct RunResult {
   std::vector<core::HirepSystem::TransactionRecord> records;
   std::vector<double> mse;  ///< windowed MSE after every transaction
@@ -67,7 +43,7 @@ RunResult run_once(const sim::Params& p) {
   core::HirepSystem system(p.hirep_options());
   const auto chaos = sim::install_chaos(system, p);
   const auto exec = sim::Scenario(p).execution_policy();
-  const auto pairs = draw_pairs(p);
+  const auto pairs = sim::draw_pairs(p, p.transactions);
 
   RunResult out;
   out.records.reserve(pairs.size());

@@ -8,7 +8,8 @@
 // Columns: trust messages per transaction, measured MSE after the same
 // training budget, and what happens when the architecture's critical
 // node(s) fail.
-#include <iostream>
+#include <stdexcept>
+#include <utility>
 
 #include "baselines/absolute_trust.hpp"
 #include "baselines/differential_gossip.hpp"
@@ -21,6 +22,8 @@ namespace {
 
 using namespace hirep;
 
+using Pair = std::pair<net::NodeIndex, net::NodeIndex>;
+
 struct Row {
   double msgs_per_txn = 0.0;
   double mse = 0.0;
@@ -29,31 +32,52 @@ struct Row {
 
 constexpr std::size_t kTrain = 400;
 constexpr std::size_t kMeasure = 100;
+/// The pair rules below address peers below this index.
+constexpr std::size_t kMinNodes = 200;
 
-Row run_hirep(const sim::Params& params) {
-  core::HirepSystem system(params.hirep_options());
+/// Runs `train` unmeasured transactions, then kMeasure measured ones;
+/// transaction t runs between the peers `pair(t)` returns.
+template <typename System, typename PairFn>
+Row measure(System& system, std::size_t train, PairFn pair) {
   util::MseAccumulator mse;
   std::uint64_t msgs = 0;
-  for (std::size_t t = 0; t < kTrain + kMeasure; ++t) {
-    const auto requestor =
-        static_cast<net::NodeIndex>(system.rng().below(50));
-    net::NodeIndex provider = requestor;
-    while (provider == requestor) {
-      provider = static_cast<net::NodeIndex>(system.rng().below(200));
-    }
+  for (std::size_t t = 0; t < train + kMeasure; ++t) {
+    const auto [requestor, provider] = pair(t);
     const auto rec = system.run_transaction(requestor, provider);
-    if (t >= kTrain) {
+    if (t >= train) {
       mse.add(rec.estimate, rec.truth_value);
       msgs += rec.trust_messages;
     }
   }
+  Row row;
+  row.msgs_per_txn = static_cast<double>(msgs) / static_cast<double>(kMeasure);
+  row.mse = mse.mse();
+  return row;
+}
+
+/// Random draws from concentrated pools — requestors below 50, providers
+/// 50..149 — so every provider accumulates raters beyond a single fixed
+/// requestor (a lone malicious rater would otherwise own its score).
+Pair pooled_pair(util::Rng& rng) {
+  const auto requestor = static_cast<net::NodeIndex>(rng.below(50));
+  const auto provider = static_cast<net::NodeIndex>(50 + rng.below(100));
+  return {requestor, provider};
+}
+
+Row run_hirep(const sim::Params& params) {
+  core::HirepSystem system(params.hirep_options());
+  Row row = measure(system, kTrain, [&](std::size_t) {
+    const auto requestor = static_cast<net::NodeIndex>(system.rng().below(50));
+    net::NodeIndex provider = requestor;
+    while (provider == requestor) {
+      provider = static_cast<net::NodeIndex>(system.rng().below(200));
+    }
+    return Pair{requestor, provider};
+  });
   // Resilience probe: kill the 5 most popular agents, keep transacting.
   sim::dos_top_agents(system, 5);
   std::size_t responses = 0;
   for (int i = 0; i < 30; ++i) responses += system.run_transaction().responses;
-  Row row;
-  row.msgs_per_txn = static_cast<double>(msgs) / static_cast<double>(kMeasure);
-  row.mse = mse.mse();
   row.failure_note = responses > 0 ? "degrades gracefully, self-heals"
                                    : "STALLED";
   return row;
@@ -61,113 +85,50 @@ Row run_hirep(const sim::Params& params) {
 
 Row run_voting(const sim::Params& params) {
   baselines::PureVotingSystem system(params.voting_options());
-  util::MseAccumulator mse;
-  std::uint64_t msgs = 0;
-  for (std::size_t t = 0; t < kMeasure; ++t) {  // stateless: no training
-    const auto rec = system.run_transaction();
-    mse.add(rec.estimate, rec.truth_value);
-    msgs += rec.trust_messages;
-  }
-  Row row;
-  row.msgs_per_txn = static_cast<double>(msgs) / static_cast<double>(kMeasure);
-  row.mse = mse.mse();
+  // Stateless: no training.
+  Row row =
+      measure(system, 0, [&](std::size_t) { return system.random_pair(); });
   row.failure_note = "no critical node, but floods everyone";
   return row;
 }
 
 Row run_trustme(const sim::Params& params) {
   baselines::TrustMeSystem system(params.trustme_options());
-  util::MseAccumulator mse;
-  std::uint64_t msgs = 0;
-  for (std::size_t t = 0; t < kTrain + kMeasure; ++t) {
-    // Concentrated provider pool so THAs accumulate reports.
-    const auto requestor =
-        static_cast<net::NodeIndex>(t % 50);
-    const auto provider = static_cast<net::NodeIndex>(
-        50 + t % 100);
-    const auto rec = system.run_transaction(requestor, provider);
-    if (t >= kTrain) {
-      mse.add(rec.estimate, rec.truth_value);
-      msgs += rec.trust_messages;
-    }
-  }
-  Row row;
-  row.msgs_per_txn = static_cast<double>(msgs) / static_cast<double>(kMeasure);
-  row.mse = mse.mse();
+  // Concentrated provider pool so THAs accumulate reports.
+  Row row = measure(system, kTrain, [](std::size_t t) {
+    return Pair{static_cast<net::NodeIndex>(t % 50),
+                static_cast<net::NodeIndex>(50 + t % 100)};
+  });
   row.failure_note = "broadcasts twice per transaction";
   return row;
 }
 
 Row run_rca(const sim::Params& params) {
-  baselines::RcaOptions options;
-  options.nodes = params.network_size;
-  options.seed = params.seed;
-  options.world.malicious_ratio = params.malicious_ratio;
-  baselines::RcaSystem system(options);
-  util::MseAccumulator mse;
-  std::uint64_t msgs = 0;
-  for (std::size_t t = 0; t < kTrain + kMeasure; ++t) {
-    const auto requestor = static_cast<net::NodeIndex>(1 + t % 50);
-    const auto provider = static_cast<net::NodeIndex>(51 + t % 100);
-    const auto rec = system.run_transaction(requestor, provider);
-    if (t >= kTrain) {
-      mse.add(rec.estimate, rec.truth_value);
-      msgs += rec.trust_messages;
-    }
-  }
+  baselines::RcaSystem system(baselines::RcaOptions{params.world_options()});
+  Row row = measure(system, kTrain, [](std::size_t t) {
+    return Pair{static_cast<net::NodeIndex>(1 + t % 50),
+                static_cast<net::NodeIndex>(51 + t % 100)};
+  });
   system.set_rca_online(false);
-  const auto dead = system.run_transaction();
-  Row row;
-  row.msgs_per_txn = static_cast<double>(msgs) / static_cast<double>(kMeasure);
-  row.mse = mse.mse();
-  row.failure_note = dead.answered ? "?" : "single point of failure: blind";
+  const bool answered = system.run_transaction().responses > 0;
+  row.failure_note = answered ? "?" : "single point of failure: blind";
   return row;
 }
 
 Row run_absolute_trust(const sim::Params& params) {
-  baselines::AbsoluteTrustSystem system(params.absolute_trust_options());
-  util::MseAccumulator mse;
-  std::uint64_t msgs = 0;
-  for (std::size_t t = 0; t < kTrain + kMeasure; ++t) {
-    // Random draws from concentrated pools so every provider accumulates
-    // raters beyond a single fixed requestor (a lone malicious rater would
-    // otherwise own that provider's score).
-    const auto requestor =
-        static_cast<net::NodeIndex>(system.rng().below(50));
-    const auto provider =
-        static_cast<net::NodeIndex>(50 + system.rng().below(100));
-    const auto rec = system.run_transaction(requestor, provider);
-    if (t >= kTrain) {
-      mse.add(rec.estimate, rec.truth_value);
-      msgs += rec.trust_messages;
-    }
-  }
-  Row row;
-  row.msgs_per_txn = static_cast<double>(msgs) / static_cast<double>(kMeasure);
-  row.mse = mse.mse();
+  baselines::AbsoluteTrustSystem system(
+      baselines::AbsoluteTrustOptions{params.world_options()});
+  Row row = measure(system, kTrain,
+                    [&](std::size_t) { return pooled_pair(system.rng()); });
   row.failure_note = "identity-keyed: whitewash wipes standing";
   return row;
 }
 
 Row run_differential_gossip(const sim::Params& params) {
   baselines::DifferentialGossipSystem system(
-      params.differential_gossip_options());
-  util::MseAccumulator mse;
-  std::uint64_t msgs = 0;
-  for (std::size_t t = 0; t < kTrain + kMeasure; ++t) {
-    const auto requestor =
-        static_cast<net::NodeIndex>(system.rng().below(50));
-    const auto provider =
-        static_cast<net::NodeIndex>(50 + system.rng().below(100));
-    const auto rec = system.run_transaction(requestor, provider);
-    if (t >= kTrain) {
-      mse.add(rec.estimate, rec.truth_value);
-      msgs += rec.trust_messages;
-    }
-  }
-  Row row;
-  row.msgs_per_txn = static_cast<double>(msgs) / static_cast<double>(kMeasure);
-  row.mse = mse.mse();
+      baselines::DifferentialGossipOptions{params.world_options()});
+  Row row = measure(system, kTrain,
+                    [&](std::size_t) { return pooled_pair(system.rng()); });
   row.failure_note = "anonymous mass: lost pushes lose opinions";
   return row;
 }
@@ -181,6 +142,11 @@ int main(int argc, char** argv) {
       "Absolute Trust, and differential gossip (same world, 10% attackers)",
       [](sim::Scenario& sc, const util::Config& cfg) {
         if (!cfg.has("network_size")) sc.network_size(400);
+        if (sc.params().network_size < kMinNodes) {
+          throw std::invalid_argument(
+              "network_size must be >= 200 (the comparison's pair rules "
+              "address peers up to index 199)");
+        }
       },
       [](const sim::Scenario& sc) -> sim::ExperimentResult {
         const sim::Params& params = sc.params();

@@ -20,24 +20,6 @@ namespace {
 
 using namespace hirep;
 
-constexpr std::uint64_t kWorkloadSalt = 0x5eedba5eca11f00dULL;
-
-std::vector<std::pair<net::NodeIndex, net::NodeIndex>> draw_pairs(
-    const sim::Params& p) {
-  util::Rng rng(p.seed ^ kWorkloadSalt);
-  std::vector<std::pair<net::NodeIndex, net::NodeIndex>> pairs;
-  pairs.reserve(p.transactions);
-  for (std::size_t i = 0; i < p.transactions; ++i) {
-    const auto r = static_cast<net::NodeIndex>(rng.below(p.network_size));
-    auto q = r;
-    while (q == r) {
-      q = static_cast<net::NodeIndex>(rng.below(p.network_size));
-    }
-    pairs.emplace_back(r, q);
-  }
-  return pairs;
-}
-
 struct ModeRun {
   std::vector<core::HirepSystem::TransactionRecord> records;
   double seconds = 0.0;
@@ -84,7 +66,7 @@ int main(int argc, char** argv) {
       },
       [](const sim::Scenario& sc) -> sim::ExperimentResult {
         const sim::Params& p = sc.params();
-        const auto pairs = draw_pairs(p);
+        const auto pairs = sim::draw_pairs(p, p.transactions);
 
         // Executors come from Scenario (the one construction path), so the
         // same downgrade/validation diagnostics apply as everywhere else.

@@ -15,6 +15,7 @@
 
 #include "baselines/pure_voting.hpp"
 #include "gnutella/session.hpp"
+#include "net/topology.hpp"
 #include "sim/scenario.hpp"
 #include "util/config.hpp"
 #include "util/table.hpp"

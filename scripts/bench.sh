@@ -102,7 +102,7 @@ echo "wrote $out_micro"
 
 # --- figure / analysis exhibits (hirep-bench-v1) --------------------------
 figure_benches=(fig5_traffic fig6_accuracy fig7_malicious fig8_response
-                analysis_traffic_bound adversary_curves)
+                analysis_traffic_bound adversary_curves comparison_baselines)
 for bench in "${figure_benches[@]}"; do
   echo "== bench.sh: $bench ($profile params) =="
   rc=0

@@ -5,28 +5,15 @@
 
 namespace hirep::baselines {
 
-namespace {
-
-trust::WorldParams world_with_nodes(trust::WorldParams world,
-                                    std::size_t nodes) {
-  world.nodes = nodes;
-  return world;
-}
-
-}  // namespace
-
+// Shares pure voting's salts.
 AbsoluteTrustSystem::AbsoluteTrustSystem(AbsoluteTrustOptions options)
-    : options_(std::move(options)),
-      rng_(options_.seed),
-      truth_(rng_, world_with_nodes(options_.world, options_.nodes)),
-      overlay_(net::power_law(rng_, options_.nodes, options_.average_degree),
-               options_.latency, options_.seed ^ 0x0ddba111ULL),
-      transport_(&overlay_, options_.delivery, options_.seed ^ 0x90111e57ULL),
+    : World(options, 0x0ddba111ULL, 0x90111e57ULL),
+      options_(std::move(options)),
       opinion_sum_(options_.nodes * options_.nodes, 0.0),
       opinion_cnt_(options_.nodes * options_.nodes, 0),
       global_(options_.nodes, 0.5) {}
 
-AbsoluteTrustSystem::TransactionRecord AbsoluteTrustSystem::run_transaction(
+TransactionRecord AbsoluteTrustSystem::run_transaction(
     net::NodeIndex requestor, net::NodeIndex provider) {
   TransactionRecord record;
   record.requestor = requestor;
@@ -110,25 +97,9 @@ void AbsoluteTrustSystem::reset_reputation(net::NodeIndex v) {
 
 net::NodeIndex AbsoluteTrustSystem::add_node(std::size_t degree) {
   const std::size_t n = global_.size();
-  degree = std::max<std::size_t>(1, std::min(degree, n));
-  std::vector<net::NodeIndex> attach;
-  for (std::size_t idx : rng_.sample_indices(n, degree)) {
-    attach.push_back(static_cast<net::NodeIndex>(idx));
-  }
-  const net::NodeIndex v = overlay_.add_node(attach);
-  (void)truth_.add_node(rng_);
-  // Re-stride the dense opinion matrix for the grown population.
-  const std::size_t m = n + 1;
-  std::vector<double> sum(m * m, 0.0);
-  std::vector<std::uint32_t> cnt(m * m, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      sum[i * m + j] = opinion_sum_[i * n + j];
-      cnt[i * m + j] = opinion_cnt_[i * n + j];
-    }
-  }
-  opinion_sum_.swap(sum);
-  opinion_cnt_.swap(cnt);
+  const net::NodeIndex v = join(degree);
+  grow_square(opinion_sum_, n);
+  grow_square(opinion_cnt_, n);
   global_.push_back(0.5);
   dirty_ = true;
   return v;

@@ -20,47 +20,28 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/overlay.hpp"
-#include "net/topology.hpp"
-#include "net/transport.hpp"
-#include "trust/ground_truth.hpp"
-#include "util/rng.hpp"
+#include "baselines/record.hpp"
+#include "trust/world.hpp"
 
 namespace hirep::baselines {
 
-struct AbsoluteTrustOptions {
-  std::size_t nodes = 1000;
-  double average_degree = 4.0;
-  trust::WorldParams world;
-  net::LatencyParams latency;
-  net::DeliveryConfig delivery;
-  std::uint64_t seed = 1;
+struct AbsoluteTrustOptions : trust::WorldOptions {
   std::size_t max_iterations = 50;  ///< Jacobi iteration cap per recompute
   double epsilon = 1e-6;            ///< L-inf convergence threshold
   double min_weight = 0.05;         ///< floor on a rater's weight
 };
 
-class AbsoluteTrustSystem {
+class AbsoluteTrustSystem : public trust::World {
  public:
   explicit AbsoluteTrustSystem(AbsoluteTrustOptions options);
 
-  net::Overlay& overlay() noexcept { return overlay_; }
-  net::Transport& transport() noexcept { return transport_; }
-  trust::GroundTruth& truth() noexcept { return truth_; }
-  util::Rng& rng() noexcept { return rng_; }
   const AbsoluteTrustOptions& options() const noexcept { return options_; }
   std::size_t node_count() const noexcept { return global_.size(); }
 
-  struct TransactionRecord {
-    net::NodeIndex requestor = net::kInvalidNode;
-    net::NodeIndex provider = net::kInvalidNode;
-    double estimate = 0.5;     ///< absolute trust before this transaction
-    double truth_value = 0.0;
-    std::uint64_t trust_messages = 0;
-  };
   /// One transaction: the requestor exchanges trust state with its
   /// neighbors (the counted message cost), reads the provider's absolute
-  /// trust, transacts, and files its (possibly falsified) opinion.
+  /// trust (the record's estimate), transacts, and files its (possibly
+  /// falsified) opinion.
   TransactionRecord run_transaction(net::NodeIndex requestor,
                                     net::NodeIndex provider);
 
@@ -80,10 +61,6 @@ class AbsoluteTrustSystem {
   void recompute();
 
   AbsoluteTrustOptions options_;
-  util::Rng rng_;
-  trust::GroundTruth truth_;
-  net::Overlay overlay_;
-  net::Transport transport_;
   /// Dense opinion matrix: opinion_sum_[rater * n + subject] with matching
   /// counts; T_ij is the rater's running average.
   std::vector<double> opinion_sum_;

@@ -1,29 +1,18 @@
 #include "baselines/differential_gossip.hpp"
 
-#include <algorithm>
-
 namespace hirep::baselines {
 
 namespace {
-
-trust::WorldParams world_with_nodes(trust::WorldParams world,
-                                    std::size_t nodes) {
-  world.nodes = nodes;
-  return world;
-}
 
 constexpr double kMinMass = 1e-9;  ///< below this a holder stops gossiping
 
 }  // namespace
 
+// Shares pure voting's salts.
 DifferentialGossipSystem::DifferentialGossipSystem(
     DifferentialGossipOptions options)
-    : options_(std::move(options)),
-      rng_(options_.seed),
-      truth_(rng_, world_with_nodes(options_.world, options_.nodes)),
-      overlay_(net::power_law(rng_, options_.nodes, options_.average_degree),
-               options_.latency, options_.seed ^ 0x0ddba111ULL),
-      transport_(&overlay_, options_.delivery, options_.seed ^ 0x90111e57ULL),
+    : World(options, 0x0ddba111ULL, 0x90111e57ULL),
+      options_(std::move(options)),
       nodes_(options_.nodes),
       value_(options_.nodes * options_.nodes, 0.0),
       weight_(options_.nodes * options_.nodes, 0.0) {}
@@ -34,9 +23,8 @@ double DifferentialGossipSystem::estimate_at(net::NodeIndex node,
   return w > kMinMass ? value_[node * nodes_ + subject] / w : 0.5;
 }
 
-DifferentialGossipSystem::TransactionRecord
-DifferentialGossipSystem::run_transaction(net::NodeIndex requestor,
-                                          net::NodeIndex provider) {
+TransactionRecord DifferentialGossipSystem::run_transaction(
+    net::NodeIndex requestor, net::NodeIndex provider) {
   TransactionRecord record;
   record.requestor = requestor;
   record.provider = provider;
@@ -104,26 +92,10 @@ void DifferentialGossipSystem::reset_reputation(net::NodeIndex v) {
 }
 
 net::NodeIndex DifferentialGossipSystem::add_node(std::size_t degree) {
-  const std::size_t n = nodes_;
-  degree = std::max<std::size_t>(1, std::min(degree, n));
-  std::vector<net::NodeIndex> attach;
-  for (std::size_t idx : rng_.sample_indices(n, degree)) {
-    attach.push_back(static_cast<net::NodeIndex>(idx));
-  }
-  const net::NodeIndex v = overlay_.add_node(attach);
-  (void)truth_.add_node(rng_);
-  const std::size_t m = n + 1;
-  std::vector<double> value(m * m, 0.0);
-  std::vector<double> weight(m * m, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      value[i * m + j] = value_[i * n + j];
-      weight[i * m + j] = weight_[i * n + j];
-    }
-  }
-  value_.swap(value);
-  weight_.swap(weight);
-  nodes_ = m;
+  const net::NodeIndex v = join(degree);
+  grow_square(value_, nodes_);
+  grow_square(weight_, nodes_);
+  ++nodes_;
   return v;
 }
 

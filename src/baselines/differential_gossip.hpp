@@ -16,48 +16,28 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/overlay.hpp"
-#include "net/topology.hpp"
-#include "net/transport.hpp"
-#include "trust/ground_truth.hpp"
-#include "util/rng.hpp"
+#include "baselines/record.hpp"
+#include "trust/world.hpp"
 
 namespace hirep::baselines {
 
-struct DifferentialGossipOptions {
-  std::size_t nodes = 1000;
-  double average_degree = 4.0;
-  trust::WorldParams world;
-  net::LatencyParams latency;
-  net::DeliveryConfig delivery;
-  std::uint64_t seed = 1;
+struct DifferentialGossipOptions : trust::WorldOptions {
   std::size_t gossip_rounds = 3;  ///< push-sum rounds run after each opinion
 };
 
-class DifferentialGossipSystem {
+class DifferentialGossipSystem : public trust::World {
  public:
   explicit DifferentialGossipSystem(DifferentialGossipOptions options);
 
-  net::Overlay& overlay() noexcept { return overlay_; }
-  net::Transport& transport() noexcept { return transport_; }
-  trust::GroundTruth& truth() noexcept { return truth_; }
-  util::Rng& rng() noexcept { return rng_; }
   const DifferentialGossipOptions& options() const noexcept {
     return options_;
   }
   std::size_t node_count() const noexcept { return nodes_; }
 
-  struct TransactionRecord {
-    net::NodeIndex requestor = net::kInvalidNode;
-    net::NodeIndex provider = net::kInvalidNode;
-    double estimate = 0.5;     ///< requestor's push-sum estimate beforehand
-    double truth_value = 0.0;
-    std::uint64_t trust_messages = 0;
-  };
   /// One transaction: the requestor reads its current push-sum estimate of
-  /// the provider, transacts, injects its (possibly falsified) opinion as
-  /// fresh mass, and the network runs `gossip_rounds` differential rounds
-  /// for that subject (the counted message cost).
+  /// the provider (the record's estimate), transacts, injects its (possibly
+  /// falsified) opinion as fresh mass, and the network runs `gossip_rounds`
+  /// differential rounds for that subject (the counted message cost).
   TransactionRecord run_transaction(net::NodeIndex requestor,
                                     net::NodeIndex provider);
 
@@ -78,10 +58,6 @@ class DifferentialGossipSystem {
   void gossip_round(net::NodeIndex subject);
 
   DifferentialGossipOptions options_;
-  util::Rng rng_;
-  trust::GroundTruth truth_;
-  net::Overlay overlay_;
-  net::Transport transport_;
   std::size_t nodes_;
   /// Dense mass matrices: value_[holder * n + subject] / weight_[...].
   std::vector<double> value_;

@@ -4,22 +4,9 @@
 
 namespace hirep::baselines {
 
-namespace {
-
-trust::WorldParams world_with_nodes(trust::WorldParams world, std::size_t nodes) {
-  world.nodes = nodes;
-  return world;
-}
-
-}  // namespace
-
 PureVotingSystem::PureVotingSystem(VotingOptions options)
-    : options_(std::move(options)),
-      rng_(options_.seed),
-      truth_(rng_, world_with_nodes(options_.world, options_.nodes)),
-      overlay_(net::power_law(rng_, options_.nodes, options_.average_degree),
-               options_.latency, options_.seed ^ 0x0ddba111ULL),
-      transport_(&overlay_, options_.delivery, options_.seed ^ 0x90111e57ULL) {}
+    : World(options, 0x0ddba111ULL, 0x90111e57ULL),
+      options_(std::move(options)) {}
 
 PureVotingSystem::PollResult PureVotingSystem::poll(net::NodeIndex requestor,
                                                     net::NodeIndex provider) {
@@ -108,24 +95,20 @@ PureVotingSystem::TimedPoll PureVotingSystem::poll_timed(
   return result;
 }
 
-PureVotingSystem::TransactionRecord PureVotingSystem::run_transaction() {
-  const auto requestor = static_cast<net::NodeIndex>(rng_.below(options_.nodes));
-  net::NodeIndex provider = requestor;
-  while (provider == requestor) {
-    provider = static_cast<net::NodeIndex>(rng_.below(options_.nodes));
-  }
+TransactionRecord PureVotingSystem::run_transaction() {
+  const auto [requestor, provider] = random_pair();
   return run_transaction(requestor, provider);
 }
 
-PureVotingSystem::TransactionRecord PureVotingSystem::run_transaction(
-    net::NodeIndex requestor, net::NodeIndex provider) {
+TransactionRecord PureVotingSystem::run_transaction(net::NodeIndex requestor,
+                                                    net::NodeIndex provider) {
   const auto polled = poll(requestor, provider);
   TransactionRecord record;
   record.requestor = requestor;
   record.provider = provider;
   record.estimate = polled.estimate;
   record.truth_value = truth_.true_trust(provider);
-  record.votes = polled.votes;
+  record.responses = polled.votes;
   record.trust_messages = polled.messages;
   return record;
 }

@@ -9,34 +9,21 @@
 
 #include <cstdint>
 
+#include "baselines/record.hpp"
 #include "net/flood.hpp"
-#include "net/overlay.hpp"
-#include "net/topology.hpp"
-#include "net/transport.hpp"
-#include "trust/ground_truth.hpp"
-#include "util/rng.hpp"
+#include "trust/world.hpp"
 
 namespace hirep::baselines {
 
-struct VotingOptions {
-  std::size_t nodes = 1000;
-  double average_degree = 4.0;
+struct VotingOptions : trust::WorldOptions {
   std::uint32_t ttl = 4;  ///< Table 1: TTL 4 ("network size limit"); real
                           ///< Gnutella deployments use 7
-  trust::WorldParams world;
-  net::LatencyParams latency;
-  net::DeliveryConfig delivery;
-  std::uint64_t seed = 1;
 };
 
-class PureVotingSystem {
+class PureVotingSystem : public trust::World {
  public:
   explicit PureVotingSystem(VotingOptions options);
 
-  net::Overlay& overlay() noexcept { return overlay_; }
-  net::Transport& transport() noexcept { return transport_; }
-  trust::GroundTruth& truth() noexcept { return truth_; }
-  util::Rng& rng() noexcept { return rng_; }
   const VotingOptions& options() const noexcept { return options_; }
 
   struct PollResult {
@@ -57,24 +44,13 @@ class PureVotingSystem {
   /// state first: each transaction is measured from a quiet network.
   TimedPoll poll_timed(net::NodeIndex requestor, net::NodeIndex provider);
 
-  struct TransactionRecord {
-    net::NodeIndex requestor = net::kInvalidNode;
-    net::NodeIndex provider = net::kInvalidNode;
-    double estimate = 0.5;
-    double truth_value = 0.0;
-    std::size_t votes = 0;
-    std::uint64_t trust_messages = 0;
-  };
+  /// One poll between random_pair() peers; `responses` counts the votes.
   TransactionRecord run_transaction();
   TransactionRecord run_transaction(net::NodeIndex requestor,
                                     net::NodeIndex provider);
 
  private:
   VotingOptions options_;
-  util::Rng rng_;
-  trust::GroundTruth truth_;
-  net::Overlay overlay_;
-  net::Transport transport_;
 };
 
 }  // namespace hirep::baselines

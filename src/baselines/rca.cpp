@@ -4,34 +4,19 @@
 
 namespace hirep::baselines {
 
-namespace {
-
-trust::WorldParams world_with_nodes(trust::WorldParams world, std::size_t nodes) {
-  world.nodes = nodes;
-  return world;
-}
-
-}  // namespace
-
+// The transport is idle (see RcaOptions), so it shares the overlay's salt.
 RcaSystem::RcaSystem(RcaOptions options)
-    : options_(std::move(options)),
-      rng_(options_.seed),
-      truth_(rng_, world_with_nodes(options_.world, options_.nodes)),
-      overlay_(net::power_law(rng_, options_.nodes, options_.average_degree),
-               options_.latency, options_.seed ^ 0x5ca1ab1eULL),
+    : World(options, 0x5ca1ab1eULL, 0x5ca1ab1eULL),
+      options_(std::move(options)),
       model_factory_(trust::model_factory_by_name(options_.model)) {}
 
-RcaSystem::TransactionRecord RcaSystem::run_transaction() {
-  const auto requestor = static_cast<net::NodeIndex>(rng_.below(options_.nodes));
-  net::NodeIndex provider = requestor;
-  while (provider == requestor) {
-    provider = static_cast<net::NodeIndex>(rng_.below(options_.nodes));
-  }
+TransactionRecord RcaSystem::run_transaction() {
+  const auto [requestor, provider] = random_pair();
   return run_transaction(requestor, provider);
 }
 
-RcaSystem::TransactionRecord RcaSystem::run_transaction(
-    net::NodeIndex requestor, net::NodeIndex provider) {
+TransactionRecord RcaSystem::run_transaction(net::NodeIndex requestor,
+                                             net::NodeIndex provider) {
   TransactionRecord record;
   record.requestor = requestor;
   record.provider = provider;
@@ -46,7 +31,7 @@ RcaSystem::TransactionRecord RcaSystem::run_transaction(
     record.estimate = (it != stores_.end() && it->second->observations() > 0)
                           ? it->second->value()
                           : 0.5;
-    record.answered = true;
+    record.responses = 1;
   }
 
   const double outcome = truth_.transaction_outcome(provider);

@@ -9,45 +9,33 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 
-#include "net/overlay.hpp"
-#include "net/topology.hpp"
-#include "trust/ground_truth.hpp"
+#include "baselines/record.hpp"
 #include "trust/trust_model.hpp"
-#include "util/rng.hpp"
+#include "trust/world.hpp"
 
 namespace hirep::baselines {
 
-struct RcaOptions {
-  std::size_t nodes = 1000;
-  double average_degree = 4.0;
+/// `delivery` is ignored: queries and reports are counted point-to-point
+/// sends on the overlay, so the world's transport stays idle.
+struct RcaOptions : trust::WorldOptions {
   net::NodeIndex rca_node = 0;  ///< the dedicated server's overlay seat
   std::string model = "ewma";
-  trust::WorldParams world;
-  net::LatencyParams latency;
-  std::uint64_t seed = 1;
 };
 
-class RcaSystem {
+class RcaSystem : public trust::World {
  public:
   explicit RcaSystem(RcaOptions options);
 
-  net::Overlay& overlay() noexcept { return overlay_; }
-  trust::GroundTruth& truth() noexcept { return truth_; }
   const RcaOptions& options() const noexcept { return options_; }
 
   bool rca_online() const noexcept { return online_; }
   /// The single point of failure, made explicit.
   void set_rca_online(bool online) noexcept { online_ = online; }
 
-  struct TransactionRecord {
-    net::NodeIndex requestor = net::kInvalidNode;
-    net::NodeIndex provider = net::kInvalidNode;
-    double estimate = 0.5;
-    double truth_value = 0.0;
-    bool answered = false;  ///< false when the RCA was down
-    std::uint64_t trust_messages = 0;
-  };
+  /// One query between random_pair() peers; `responses` is 1 when the
+  /// RCA replied and 0 when it was down.
   TransactionRecord run_transaction();
   TransactionRecord run_transaction(net::NodeIndex requestor,
                                     net::NodeIndex provider);
@@ -62,9 +50,6 @@ class RcaSystem {
 
  private:
   RcaOptions options_;
-  util::Rng rng_;
-  trust::GroundTruth truth_;
-  net::Overlay overlay_;
   bool online_ = true;
   std::map<net::NodeIndex, std::unique_ptr<trust::TrustModel>> stores_;
   trust::TrustModelFactory model_factory_;

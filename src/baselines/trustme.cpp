@@ -2,22 +2,9 @@
 
 namespace hirep::baselines {
 
-namespace {
-
-trust::WorldParams world_with_nodes(trust::WorldParams world, std::size_t nodes) {
-  world.nodes = nodes;
-  return world;
-}
-
-}  // namespace
-
 TrustMeSystem::TrustMeSystem(TrustMeOptions options)
-    : options_(std::move(options)),
-      rng_(options_.seed),
-      truth_(rng_, world_with_nodes(options_.world, options_.nodes)),
-      overlay_(net::power_law(rng_, options_.nodes, options_.average_degree),
-               options_.latency, options_.seed ^ 0x7157731eULL),
-      transport_(&overlay_, options_.delivery, options_.seed ^ 0x7153131dULL),
+    : World(options, 0x7157731eULL, 0x7153131dULL),
+      options_(std::move(options)),
       thas_(options_.nodes),
       model_factory_(trust::model_factory_by_name(options_.model)) {
   // Bootstrap-server THA assignment: random, so "the probability of each
@@ -49,17 +36,13 @@ double TrustMeSystem::tha_answer(net::NodeIndex tha, net::NodeIndex subject) {
   return truth_.poor_evaluator(tha) ? 1.0 - value : value;
 }
 
-TrustMeSystem::TransactionRecord TrustMeSystem::run_transaction() {
-  const auto requestor = static_cast<net::NodeIndex>(rng_.below(options_.nodes));
-  net::NodeIndex provider = requestor;
-  while (provider == requestor) {
-    provider = static_cast<net::NodeIndex>(rng_.below(options_.nodes));
-  }
+TransactionRecord TrustMeSystem::run_transaction() {
+  const auto [requestor, provider] = random_pair();
   return run_transaction(requestor, provider);
 }
 
-TrustMeSystem::TransactionRecord TrustMeSystem::run_transaction(
-    net::NodeIndex requestor, net::NodeIndex provider) {
+TransactionRecord TrustMeSystem::run_transaction(net::NodeIndex requestor,
+                                                 net::NodeIndex provider) {
   TransactionRecord record;
   record.requestor = requestor;
   record.provider = provider;

@@ -15,48 +15,31 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "baselines/record.hpp"
 #include "net/flood.hpp"
-#include "net/overlay.hpp"
-#include "net/topology.hpp"
-#include "net/transport.hpp"
-#include "trust/ground_truth.hpp"
 #include "trust/trust_model.hpp"
-#include "util/rng.hpp"
+#include "trust/world.hpp"
 
 namespace hirep::baselines {
 
-struct TrustMeOptions {
-  std::size_t nodes = 1000;
-  double average_degree = 4.0;
+struct TrustMeOptions : trust::WorldOptions {
   std::uint32_t ttl = 4;
   std::size_t thas_per_peer = 4;  ///< THAs assigned at bootstrap
   std::string model = "ewma";
-  trust::WorldParams world;
-  net::LatencyParams latency;
-  net::DeliveryConfig delivery;
-  std::uint64_t seed = 1;
 };
 
-class TrustMeSystem {
+class TrustMeSystem : public trust::World {
  public:
   explicit TrustMeSystem(TrustMeOptions options);
 
-  net::Overlay& overlay() noexcept { return overlay_; }
-  net::Transport& transport() noexcept { return transport_; }
-  trust::GroundTruth& truth() noexcept { return truth_; }
   const TrustMeOptions& options() const noexcept { return options_; }
   const std::vector<net::NodeIndex>& thas_of(net::NodeIndex peer) const;
 
-  struct TransactionRecord {
-    net::NodeIndex requestor = net::kInvalidNode;
-    net::NodeIndex provider = net::kInvalidNode;
-    double estimate = 0.5;
-    double truth_value = 0.0;
-    std::size_t responses = 0;
-    std::uint64_t trust_messages = 0;
-  };
+  /// One query between random_pair() peers; `responses` counts the THA
+  /// answers that reached the requestor.
   TransactionRecord run_transaction();
   TransactionRecord run_transaction(net::NodeIndex requestor,
                                     net::NodeIndex provider);
@@ -71,10 +54,6 @@ class TrustMeSystem {
   double tha_answer(net::NodeIndex tha, net::NodeIndex subject);
 
   TrustMeOptions options_;
-  util::Rng rng_;
-  trust::GroundTruth truth_;
-  net::Overlay overlay_;
-  net::Transport transport_;
   std::vector<std::vector<net::NodeIndex>> thas_;  // per peer
   // THA-side stores: (tha, subject) -> model
   std::map<std::pair<net::NodeIndex, net::NodeIndex>,

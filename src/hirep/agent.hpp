@@ -28,10 +28,13 @@ class ReputationAgent {
  public:
   /// `identity` and `truth` must outlive the agent.  `self` is the agent's
   /// overlay index (its evaluation capability is looked up in `truth`).
+  /// `min_reports_for_model` is how many reports a good agent needs about
+  /// a subject before it answers from its computation model instead of its
+  /// own evaluation (§4.2.3).
   ReputationAgent(const crypto::Identity* identity, net::NodeIndex self,
                   const trust::GroundTruth* truth,
                   trust::TrustModelFactory model_factory,
-                  std::size_t min_reports_for_model = 3);
+                  std::size_t min_reports_for_model = 1);
 
   const crypto::Identity& identity() const noexcept { return *identity_; }
   const crypto::NodeId& node_id() const noexcept { return identity_->node_id(); }

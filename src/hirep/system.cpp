@@ -13,11 +13,6 @@ namespace hirep::core {
 
 namespace {
 
-trust::WorldParams world_with_nodes(trust::WorldParams world, std::size_t nodes) {
-  world.nodes = nodes;
-  return world;
-}
-
 ListParams list_params_from(const HirepOptions& o) {
   ListParams lp;
   lp.alpha = o.expertise_alpha;
@@ -70,12 +65,8 @@ IdMap::const_iterator id_lower_bound(const IdMap& m, const crypto::NodeId& id) {
 }  // namespace
 
 HirepSystem::HirepSystem(HirepOptions options)
-    : options_(std::move(options)),
-      rng_(options_.seed),
-      truth_(rng_, world_with_nodes(options_.world, options_.nodes)),
-      overlay_(net::power_law(rng_, options_.nodes, options_.average_degree),
-               options_.latency, options_.seed ^ 0x1eafcafeULL),
-      transport_(&overlay_, options_.delivery, options_.seed ^ 0xfa017ca7ULL),
+    : World(options, 0x1eafcafeULL, 0xfa017ca7ULL),
+      options_(std::move(options)),
       reliable_(&transport_, options_.reliable,
                 options_.seed ^ kChannelSeedSalt),
       router_(&overlay_, [this](net::NodeIndex v) -> const crypto::Identity* {
@@ -127,8 +118,7 @@ void HirepSystem::make_agent(net::NodeIndex v,
                              const crypto::Identity* identity) {
   AgentRuntime& rt = agent_runtimes_[v];
   rt.agent = std::make_unique<ReputationAgent>(
-      identity, v, &truth_, trust::model_factory_by_name(options_.agent_model),
-      options_.min_reports_for_model);
+      identity, v, &truth_, trust::model_factory_by_name(options_.agent_model));
   rt.relays = peers_[v].relays();  // agents reuse their verified relays
   rt.mu = std::make_unique<util::Mutex>();
   rt.recovery = std::make_unique<AgentRecovery>();
@@ -796,29 +786,7 @@ void HirepSystem::report_batch(TxnCtx& ctx, Peer& reporter,
 }
 
 HirepSystem::TransactionRecord HirepSystem::run_transaction() {
-  const std::size_t population = peers_.size();
-  const auto requestor = static_cast<net::NodeIndex>(rng_.below(population));
-  // Candidate providers (paper default: one random candidate).
-  net::NodeIndex provider = requestor;
-  if (options_.provider_candidates <= 1) {
-    while (provider == requestor) {
-      provider = static_cast<net::NodeIndex>(rng_.below(population));
-    }
-    return run_transaction(requestor, provider);
-  }
-  // Multi-candidate selection: query each candidate, pick the best estimate.
-  double best = -1.0;
-  for (std::size_t i = 0; i < options_.provider_candidates; ++i) {
-    net::NodeIndex candidate = requestor;
-    while (candidate == requestor) {
-      candidate = static_cast<net::NodeIndex>(rng_.below(population));
-    }
-    const auto q = query_trust(requestor, candidate);
-    if (q.estimate > best) {
-      best = q.estimate;
-      provider = candidate;
-    }
-  }
+  const auto [requestor, provider] = random_pair();
   return run_transaction(requestor, provider);
 }
 

@@ -36,12 +36,9 @@
 #include "hirep/execution.hpp"
 #include "hirep/peer.hpp"
 #include "hirep/protocol.hpp"
-#include "net/overlay.hpp"
 #include "net/reliable.hpp"
-#include "net/topology.hpp"
-#include "net/transport.hpp"
 #include "onion/router.hpp"
-#include "trust/ground_truth.hpp"
+#include "trust/world.hpp"
 #include "util/sync.hpp"
 #include "util/thread_pool.hpp"
 
@@ -52,9 +49,7 @@ enum class CryptoMode {
   kFast   ///< same protocol flow + message counts, ciphers skipped
 };
 
-struct HirepOptions {
-  std::size_t nodes = 1000;        ///< network size (Table 1)
-  double average_degree = 4.0;     ///< neighbors per node (Table 1)
+struct HirepOptions : trust::WorldOptions {
   unsigned rsa_bits = 128;         ///< RSA modulus size (scale up at will)
   std::size_t trusted_agents = 10; ///< c — trusted agents per peer (Table 1)
   std::size_t onion_relays = 5;    ///< o — relays per onion (Table 1)
@@ -64,14 +59,8 @@ struct HirepOptions {
   double eviction_threshold = 0.4; ///< hirep-4/6/8 = 0.4/0.6/0.8 (Figure 6)
   double refill_fraction = 0.5;    ///< refill when list < fraction*capacity
   std::size_t backup_capacity = 20;
-  std::size_t provider_candidates = 1;  ///< candidates per query (paper: 1)
   std::string agent_model = "ewma";     ///< agent-side computation model
-  /// Reports a good agent needs about a subject before it answers from its
-  /// computation model instead of its own evaluation (§4.2.3).
-  std::size_t min_reports_for_model = 1;
   CryptoMode crypto = CryptoMode::kFull;
-  /// How protocol envelopes are delivered (instant / latency / faulty).
-  net::DeliveryConfig delivery;
   /// Retry discipline for request/response traffic (trust requests,
   /// responses, reports, §3.4.3 probes).  The zero-retry default is
   /// call-for-call identical to bare transport sends, so it cannot perturb
@@ -88,25 +77,14 @@ struct HirepOptions {
     std::size_t min_quorum = 0;
   };
   RecoveryOptions recovery;
-  trust::WorldParams world;        ///< .nodes is overridden by `nodes`
-  net::LatencyParams latency;
-  std::uint64_t seed = 1;
 };
 
-class HirepSystem {
+class HirepSystem : public trust::World {
  public:
   explicit HirepSystem(HirepOptions options);
 
   const HirepOptions& options() const noexcept { return options_; }
-  net::Overlay& overlay() noexcept { return overlay_; }
-  const net::Overlay& overlay() const noexcept { return overlay_; }
-  trust::GroundTruth& truth() noexcept { return truth_; }
-  const trust::GroundTruth& truth() const noexcept { return truth_; }
   onion::Router& router() noexcept { return router_; }
-  /// The typed message path every protocol interaction travels through.
-  net::Transport& transport() noexcept { return transport_; }
-  const net::Transport& transport() const noexcept { return transport_; }
-  util::Rng& rng() noexcept { return rng_; }
 
   std::size_t node_count() const noexcept { return peers_.size(); }
   Peer& peer(net::NodeIndex v) { return peers_.at(v); }
@@ -203,8 +181,8 @@ class HirepSystem {
     std::size_t responses = 0; ///< agent ratings received
     std::uint64_t trust_messages = 0;  ///< messages this transaction spent
   };
-  /// One full transaction between random peers (paper §3.6): query,
-  /// download, expertise update, signed reports, maintenance.
+  /// One full transaction between random_pair() peers (paper §3.6):
+  /// query, download, expertise update, signed reports, maintenance.
   TransactionRecord run_transaction();
   TransactionRecord run_transaction(net::NodeIndex requestor,
                                     net::NodeIndex provider);
@@ -362,10 +340,6 @@ class HirepSystem {
                                          const QueryResult& query);
 
   HirepOptions options_;
-  util::Rng rng_;
-  trust::GroundTruth truth_;
-  net::Overlay overlay_;
-  net::Transport transport_;
   net::ReliableChannel reliable_;  ///< retry channel over transport_
   std::deque<crypto::Identity> identities_;  // reference-stable on growth
   onion::Router router_;

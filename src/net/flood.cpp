@@ -156,12 +156,6 @@ std::vector<TimedArrival> timed_flood(Overlay& overlay, NodeIndex source,
   return arrivals;
 }
 
-std::uint64_t response_cost(const FloodResult& result) {
-  std::uint64_t cost = 0;
-  for (std::uint32_t d : result.depth) cost += d;
-  return cost;
-}
-
 std::vector<TokenVisit> token_walk(Overlay& overlay, util::Rng& rng,
                                    NodeIndex source, std::uint32_t tokens,
                                    std::uint32_t ttl,

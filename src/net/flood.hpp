@@ -56,10 +56,6 @@ std::vector<TimedArrival> timed_flood(Overlay& overlay, NodeIndex source,
                                       std::uint32_t ttl, double start_ms,
                                       MessageKind kind);
 
-/// One response message returned hop-by-hop along the BFS tree toward the
-/// source costs `depth` transmissions; helper for the polling baseline.
-std::uint64_t response_cost(const FloodResult& result);
-
 struct TokenVisit {
   NodeIndex node;
   std::uint32_t tokens_spent;

@@ -40,10 +40,11 @@ std::pair<net::NodeIndex, net::NodeIndex> pick_pair(util::Rng& rng,
   return {requestor, provider};
 }
 
-/// The figure runners pre-draw their whole transaction workload from a
-/// dedicated stream (decoupled from the engine's per-transaction streams),
-/// then feed it to run_transactions() in checkpoint-sized chunks.
+/// Dedicated workload stream, decoupled from the engine's per-transaction
+/// streams.
 constexpr std::uint64_t kWorkloadSalt = 0x5eedba5eca11f00dULL;
+
+}  // namespace
 
 std::vector<std::pair<net::NodeIndex, net::NodeIndex>> draw_pairs(
     const Params& p, std::size_t count) {
@@ -53,8 +54,6 @@ std::vector<std::pair<net::NodeIndex, net::NodeIndex>> draw_pairs(
   for (std::size_t i = 0; i < count; ++i) pairs.push_back(pick_pair(rng, p));
   return pairs;
 }
-
-}  // namespace
 
 std::vector<double> average_over_seeds(
     const Params& params,

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sim/params.hpp"
@@ -40,6 +41,16 @@ ExperimentResult run_fig7_malicious(const Params& params);
 /// §4.1 — measured trust messages per transaction vs the closed form
 /// 3*c*(o+1) across sweeps of c and o (and the paper's 2c(o_i+o_j) order).
 ExperimentResult run_traffic_bound(const Params& params);
+
+/// The transaction workload every pre-drawn run shares: `count`
+/// requestor/provider pairs from a dedicated (seed, salt) stream, drawn
+/// from the active-community pools (Params::requestor_pool /
+/// provider_pool; 0 = whole population) with provider != requestor.  The
+/// figure runners and the chaos, adversary and scale exhibits feed it to
+/// run_transactions() in chunks, so equal params give every run the
+/// identical pair sequence.
+std::vector<std::pair<net::NodeIndex, net::NodeIndex>> draw_pairs(
+    const Params& p, std::size_t count);
 
 /// How average_over_seeds schedules its repetitions.
 enum class SeedExecution {

@@ -18,10 +18,28 @@ net::DeliveryConfig Params::delivery_config() const {
   return config;
 }
 
-core::HirepOptions Params::hirep_options() const {
-  core::HirepOptions o;
+trust::WorldOptions Params::world_options() const {
+  trust::WorldOptions o;
   o.nodes = network_size;
   o.average_degree = neighbors_per_node;
+  o.world.trustable_ratio = trustable_ratio;
+  o.world.agent_capable_ratio = agent_capable_ratio;
+  o.world.malicious_ratio = malicious_ratio;
+  o.world.good_rating_lo = good_rating_lo;
+  o.world.good_rating_hi = good_rating_hi;
+  o.world.bad_rating_lo = bad_rating_lo;
+  o.world.bad_rating_hi = bad_rating_hi;
+  o.latency.link_min_ms = link_min_ms;
+  o.latency.link_max_ms = link_max_ms;
+  o.latency.processing_ms = processing_ms;
+  o.delivery = delivery_config();
+  o.seed = seed;
+  return o;
+}
+
+core::HirepOptions Params::hirep_options() const {
+  core::HirepOptions o;
+  static_cast<trust::WorldOptions&>(o) = world_options();
   o.rsa_bits = rsa_bits;
   o.trusted_agents = trusted_agents;
   o.onion_relays = relays_per_onion;
@@ -32,101 +50,25 @@ core::HirepOptions Params::hirep_options() const {
   o.agent_model = agent_model;
   o.crypto = crypto_mode == "full" ? core::CryptoMode::kFull
                                    : core::CryptoMode::kFast;
-  o.world.trustable_ratio = trustable_ratio;
-  o.world.agent_capable_ratio = agent_capable_ratio;
-  o.world.malicious_ratio = malicious_ratio;
-  o.world.good_rating_lo = good_rating_lo;
-  o.world.good_rating_hi = good_rating_hi;
-  o.world.bad_rating_lo = bad_rating_lo;
-  o.world.bad_rating_hi = bad_rating_hi;
-  o.latency.link_min_ms = link_min_ms;
-  o.latency.link_max_ms = link_max_ms;
-  o.latency.processing_ms = processing_ms;
-  o.delivery = delivery_config();
   o.reliable.max_attempts = retry_max_attempts;
   o.reliable.timeout_ms = retry_timeout_ms;
   o.reliable.backoff_ms = retry_backoff_ms;
   o.reliable.jitter_ms = retry_jitter_ms;
   o.recovery.suspicion_threshold = suspicion_threshold;
   o.recovery.min_quorum = min_quorum;
-  o.seed = seed;
   return o;
 }
 
 baselines::VotingOptions Params::voting_options() const {
-  baselines::VotingOptions o;
-  o.nodes = network_size;
-  o.average_degree = neighbors_per_node;
+  baselines::VotingOptions o{world_options()};
   o.ttl = voting_ttl;
-  o.world.trustable_ratio = trustable_ratio;
-  o.world.agent_capable_ratio = agent_capable_ratio;
-  o.world.malicious_ratio = malicious_ratio;
-  o.world.good_rating_lo = good_rating_lo;
-  o.world.good_rating_hi = good_rating_hi;
-  o.world.bad_rating_lo = bad_rating_lo;
-  o.world.bad_rating_hi = bad_rating_hi;
-  o.latency.link_min_ms = link_min_ms;
-  o.latency.link_max_ms = link_max_ms;
-  o.latency.processing_ms = processing_ms;
-  o.delivery = delivery_config();
-  o.seed = seed;
   return o;
 }
 
 baselines::TrustMeOptions Params::trustme_options() const {
-  baselines::TrustMeOptions o;
-  o.nodes = network_size;
-  o.average_degree = neighbors_per_node;
+  baselines::TrustMeOptions o{world_options()};
   o.ttl = voting_ttl;
   o.model = agent_model;
-  o.world.trustable_ratio = trustable_ratio;
-  o.world.agent_capable_ratio = agent_capable_ratio;
-  o.world.malicious_ratio = malicious_ratio;
-  o.world.good_rating_lo = good_rating_lo;
-  o.world.good_rating_hi = good_rating_hi;
-  o.world.bad_rating_lo = bad_rating_lo;
-  o.world.bad_rating_hi = bad_rating_hi;
-  o.latency.link_min_ms = link_min_ms;
-  o.latency.link_max_ms = link_max_ms;
-  o.latency.processing_ms = processing_ms;
-  o.delivery = delivery_config();
-  o.seed = seed;
-  return o;
-}
-
-namespace {
-
-/// The world/latency/delivery fields every baseline shares.
-template <typename Options>
-void fill_common(Options& o, const Params& p) {
-  o.nodes = p.network_size;
-  o.average_degree = p.neighbors_per_node;
-  o.world.trustable_ratio = p.trustable_ratio;
-  o.world.agent_capable_ratio = p.agent_capable_ratio;
-  o.world.malicious_ratio = p.malicious_ratio;
-  o.world.good_rating_lo = p.good_rating_lo;
-  o.world.good_rating_hi = p.good_rating_hi;
-  o.world.bad_rating_lo = p.bad_rating_lo;
-  o.world.bad_rating_hi = p.bad_rating_hi;
-  o.latency.link_min_ms = p.link_min_ms;
-  o.latency.link_max_ms = p.link_max_ms;
-  o.latency.processing_ms = p.processing_ms;
-  o.delivery = p.delivery_config();
-  o.seed = p.seed;
-}
-
-}  // namespace
-
-baselines::AbsoluteTrustOptions Params::absolute_trust_options() const {
-  baselines::AbsoluteTrustOptions o;
-  fill_common(o, *this);
-  return o;
-}
-
-baselines::DifferentialGossipOptions Params::differential_gossip_options()
-    const {
-  baselines::DifferentialGossipOptions o;
-  fill_common(o, *this);
   return o;
 }
 

@@ -11,11 +11,10 @@
 #include <cstdint>
 #include <string>
 
-#include "baselines/absolute_trust.hpp"
-#include "baselines/differential_gossip.hpp"
 #include "baselines/pure_voting.hpp"
 #include "baselines/trustme.hpp"
 #include "hirep/system.hpp"
+#include "trust/world.hpp"
 #include "util/config.hpp"
 #include "util/table.hpp"
 
@@ -131,11 +130,14 @@ struct Params {
   /// validation) and use its projections.
   static Params from_config(const util::Config& config);
 
+  /// The world every architecture is built on: network size, degree,
+  /// ground-truth ratios and rating scopes, latency, delivery and seed.
+  /// The projections below start from it; Absolute Trust, differential
+  /// gossip and the RCA take it as is (e.g. `RcaOptions{world_options()}`).
+  trust::WorldOptions world_options() const;
   core::HirepOptions hirep_options() const;
   baselines::VotingOptions voting_options() const;
   baselines::TrustMeOptions trustme_options() const;
-  baselines::AbsoluteTrustOptions absolute_trust_options() const;
-  baselines::DifferentialGossipOptions differential_gossip_options() const;
   /// The delivery policy every system above is built with.
   net::DeliveryConfig delivery_config() const;
 

@@ -67,13 +67,7 @@ ExperimentResult run_fig8_response(const Params& params,
       double cumulative = 0.0;
       std::size_t next = 0;
       for (std::size_t t = 1; t <= total; ++t) {
-        auto& rng = system.rng();
-        const auto requestor =
-            static_cast<net::NodeIndex>(rng.below(system.node_count()));
-        net::NodeIndex provider = requestor;
-        while (provider == requestor) {
-          provider = static_cast<net::NodeIndex>(rng.below(system.node_count()));
-        }
+        const auto [requestor, provider] = system.random_pair();
         cumulative += hirep_query_response_ms(system, requestor, provider);
         // Keep the reputation dynamics running so the measured system is
         // the live one (expertise updates, reports, maintenance).
@@ -95,14 +89,8 @@ ExperimentResult run_fig8_response(const Params& params,
     double cumulative = 0.0;
     std::size_t next = 0;
     for (std::size_t t = 1; t <= total; ++t) {
-      const auto rec_requestor =
-          static_cast<net::NodeIndex>(system.rng().below(system.options().nodes));
-      net::NodeIndex provider = rec_requestor;
-      while (provider == rec_requestor) {
-        provider =
-            static_cast<net::NodeIndex>(system.rng().below(system.options().nodes));
-      }
-      cumulative += system.poll_timed(rec_requestor, provider).response_ms;
+      const auto [requestor, provider] = system.random_pair();
+      cumulative += system.poll_timed(requestor, provider).response_ms;
       if (next < checkpoints.size() && t == checkpoints[next]) {
         ys.push_back(cumulative);
         ++next;

@@ -35,11 +35,11 @@ TEST(Rca, SinglePointOfFailure) {
   sys.run_transaction(0, 7);
   sys.set_rca_online(false);
   const auto rec = sys.run_transaction(1, 7);
-  EXPECT_FALSE(rec.answered);
+  EXPECT_EQ(rec.responses, 0u);
   EXPECT_DOUBLE_EQ(rec.estimate, 0.5);    // no information at all
   EXPECT_EQ(rec.trust_messages, 0u);
   sys.set_rca_online(true);
-  EXPECT_TRUE(sys.run_transaction(1, 7).answered);
+  EXPECT_EQ(sys.run_transaction(1, 7).responses, 1u);
 }
 
 TEST(Rca, BottleneckSerializesConcurrentQueries) {

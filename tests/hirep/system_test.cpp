@@ -174,23 +174,6 @@ TEST(HirepSystem, TrustMessageTotalGrowsMonotonically) {
   EXPECT_GT(t1, t0);
 }
 
-TEST(HirepSystem, MultiCandidateSelectionPicksTrustworthyProvider) {
-  auto opts = small_options(CryptoMode::kFast);
-  opts.nodes = 128;
-  opts.provider_candidates = 4;
-  HirepSystem sys(opts);
-  // Train a little so estimates are meaningful, then check the chosen
-  // providers are mostly trustable.
-  std::size_t good = 0, total = 0;
-  for (int i = 0; i < 40; ++i) {
-    const auto rec = sys.run_transaction();
-    good += sys.truth().trustable(rec.provider);
-    ++total;
-  }
-  // Random choice would give ~50%; candidate selection should do better.
-  EXPECT_GT(static_cast<double>(good) / static_cast<double>(total), 0.6);
-}
-
 TEST(HirepSystem, RejectsDegenerateWorlds) {
   HirepOptions o = small_options();
   o.nodes = 4;

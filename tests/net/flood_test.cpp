@@ -60,13 +60,6 @@ TEST(Flood, DepthsMatchBfsDistances) {
   }
 }
 
-TEST(Flood, ResponseCostSumsDepths) {
-  FloodResult r;
-  r.reached = {1, 2, 3};
-  r.depth = {1, 2, 3};
-  EXPECT_EQ(response_cost(r), 6u);
-}
-
 TEST(TimedFlood, ArrivalTimesIncreaseWithDepth) {
   auto ov = ring_overlay(30);
   const auto arrivals = timed_flood(ov, 0, 5, 0.0, MessageKind::kControl);

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "baselines/absolute_trust.hpp"
+#include "baselines/differential_gossip.hpp"
+#include "baselines/rca.hpp"
+
 namespace hirep::sim {
 namespace {
 
@@ -70,6 +76,40 @@ TEST(Params, TrustMeOptionsMirrorParams) {
   p.network_size = 222;
   const auto o = p.trustme_options();
   EXPECT_EQ(o.nodes, 222u);
+}
+
+TEST(Params, EveryArchitectureBuildsTheSameWorld) {
+  Params p;
+  p.network_size = 64;
+  p.neighbors_per_node = 3.0;
+  p.malicious_ratio = 0.3;
+  const core::HirepSystem hirep(p.hirep_options());
+  const baselines::PureVotingSystem voting(p.voting_options());
+  const baselines::TrustMeSystem trustme(p.trustme_options());
+  const baselines::RcaSystem rca(baselines::RcaOptions{p.world_options()});
+  const baselines::AbsoluteTrustSystem abs_trust(
+      baselines::AbsoluteTrustOptions{p.world_options()});
+  const baselines::DifferentialGossipSystem gossip(
+      baselines::DifferentialGossipOptions{p.world_options()});
+  const trust::World* const others[] = {&voting, &trustme, &rca, &abs_trust,
+                                        &gossip};
+  const trust::GroundTruth& truth = hirep.truth();
+  const net::Graph& graph = hirep.overlay().graph();
+  ASSERT_GT(truth.poor_evaluator_count(), 0u);
+  for (const trust::World* world : others) {
+    ASSERT_EQ(world->truth().node_count(), 64u);
+    for (net::NodeIndex v = 0; v < 64; ++v) {
+      EXPECT_EQ(world->truth().trustable(v), truth.trustable(v)) << v;
+      EXPECT_EQ(world->truth().poor_evaluator(v), truth.poor_evaluator(v))
+          << v;
+      EXPECT_EQ(world->truth().bandwidth_kbps(v), truth.bandwidth_kbps(v))
+          << v;
+      const auto mine = world->overlay().graph().neighbors(v);
+      const auto ref = graph.neighbors(v);
+      EXPECT_TRUE(std::equal(mine.begin(), mine.end(), ref.begin(), ref.end()))
+          << v;
+    }
+  }
 }
 
 TEST(Params, Table1HasAllRows) {
