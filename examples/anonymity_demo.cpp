@@ -6,6 +6,7 @@
 #include <iostream>
 
 #include "net/topology.hpp"
+#include "net/transport.hpp"
 #include "onion/router.hpp"
 #include "util/bytes.hpp"
 #include "util/config.hpp"
@@ -18,9 +19,11 @@ int main(int argc, char** argv) {
 
   std::cout << "== hiREP onion anonymity walkthrough ==\n\n";
 
-  // A small overlay whose nodes all own identities.
+  // A small overlay whose nodes all own identities, and the transport that
+  // carries every message across it.
   const std::size_t nodes = relay_count + 4;
   net::Overlay overlay(net::ring_lattice(nodes, 1), net::LatencyParams{}, 1);
+  net::Transport transport(&overlay, net::DeliveryConfig{}, 1);
   std::vector<crypto::Identity> identities;
   std::cout << "Generating " << nodes << " identities (two RSA-128 key pairs "
             << "each; nodeId = SHA-1(SP))...\n";
@@ -41,7 +44,7 @@ int main(int argc, char** argv) {
     const auto relay_ip = static_cast<net::NodeIndex>(i + 1);
     onion::HonestRelay endpoint(relay_ip, &identities[relay_ip]);
     const auto info =
-        onion::fetch_anonymity_key(overlay, rng, owner, owner_ip, endpoint);
+        onion::fetch_anonymity_key(transport, rng, owner, owner_ip, endpoint);
     std::cout << "  relay " << relay_ip << " key "
               << (info ? "VERIFIED" : "REJECTED") << '\n';
     if (info) relays.push_back(*info);
@@ -77,13 +80,18 @@ int main(int argc, char** argv) {
     at = peeled->next;
   }
 
-  // Route a payload through the onion via the Router, then demonstrate the
-  // anti-replay sequence guard.
-  onion::Router router(&overlay, &identities);
+  // Route a payload through the onion: the Router peels the hop path
+  // (signature and sq guard first), the transport carries the payload
+  // along it.  Then demonstrate the anti-replay sequence guard.
+  onion::Router router(&identities);
   const util::Bytes payload = {'h', 'i', 'r', 'e', 'p'};
   const auto sender = static_cast<net::NodeIndex>(nodes - 1);
-  const auto routed =
-      router.route(sender, onion, payload, net::MessageKind::kControl);
+  const auto route = [&](const onion::Onion& o) {
+    const auto path = router.peel_path(o);
+    if (!path) return net::DeliveryReceipt{};
+    return transport.send(net::EnvelopeType::kProbe, sender, *path, payload);
+  };
+  const auto routed = route(onion);
   std::cout << "\nRouting a payload from node " << sender << ": "
             << (routed.delivered ? "delivered" : "LOST") << " to node "
             << routed.destination << " in " << routed.hops << " hops\n";
@@ -93,9 +101,8 @@ int main(int argc, char** argv) {
   // captured sq=1 onion becomes unroutable network-wide.
   const auto fresher = onion::build_onion(rng, owner, owner_ip, relays, 2);
   router.sequence_guard().revoke_before(owner.node_id(), fresher.sq);
-  router.route(sender, fresher, payload, net::MessageKind::kControl);
-  const auto replay =
-      router.route(sender, onion, payload, net::MessageKind::kControl);
+  route(fresher);
+  const auto replay = route(onion);
   std::cout << "Replaying the sq=1 onion after the owner revoked it: "
             << (replay.delivered ? "DELIVERED (bad!)" : "rejected (stale sq)")
             << '\n';

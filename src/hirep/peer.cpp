@@ -1,6 +1,7 @@
 #include "hirep/peer.hpp"
 
 #include "check/invariants.hpp"
+#include "hirep/protocol.hpp"
 
 namespace hirep::core {
 
@@ -24,12 +25,12 @@ std::vector<net::NodeIndex> Peer::relay_path() const {
   return path;
 }
 
-onion::Onion Peer::issue_onion(util::Rng& rng) {
+onion::Onion Peer::issue_onion(util::Rng& rng, const CipherSuite& suite) {
   const std::uint64_t sq = next_sq();
   if constexpr (check::kEnabled) {
     issued_sq_.note(crypto::NodeIdHash{}(node_id()), ip_, sq);
   }
-  return onion::build_onion(rng, *identity_, ip_, relays_, sq);
+  return suite.issue_onion(rng, *identity_, ip_, relays_, sq);
 }
 
 std::optional<double> Peer::first_hand(const crypto::NodeId& subject) const {

@@ -19,6 +19,8 @@
 
 namespace hirep::core {
 
+class CipherSuite;
+
 class Peer {
  public:
   Peer(const crypto::Identity* identity, net::NodeIndex ip, ListParams params);
@@ -36,8 +38,9 @@ class Peer {
   /// Simulation-side path of this peer's onions: entry relay first.
   std::vector<net::NodeIndex> relay_path() const;
 
-  /// Issues a fresh reply onion with a non-decreasing sequence number.
-  onion::Onion issue_onion(util::Rng& rng);
+  /// Issues a fresh reply onion with a non-decreasing sequence number,
+  /// built by `suite`.
+  onion::Onion issue_onion(util::Rng& rng, const CipherSuite& suite);
   std::uint64_t next_sq() noexcept { return sq_++; }
 
   /// Expertise-weighted aggregation of agent responses.  Empty input

@@ -4,6 +4,7 @@
 
 #include "check/invariants.hpp"
 #include "crypto/verify_cache.hpp"
+#include "onion/relay.hpp"
 
 namespace hirep::core {
 
@@ -26,49 +27,25 @@ crypto::NodeId read_node_id(util::ByteReader& r) {
 
 }  // namespace
 
-util::Bytes TrustValueRequest::serialize() const {
+util::Bytes SealedMessage::serialize() const {
   util::ByteWriter w;
-  w.blob(encrypted);
-  w.blob(sp_p.serialize());
-  w.blob(reply_onion.serialize());
+  w.blob(sealed);
+  w.blob(sender_sp.serialize());
+  w.blob(onion.serialize());
   return w.take();
 }
 
-std::optional<TrustValueRequest> TrustValueRequest::deserialize(
+std::optional<SealedMessage> SealedMessage::deserialize(
     std::span<const std::uint8_t> data) {
   try {
     util::ByteReader r(data);
-    TrustValueRequest req;
-    req.encrypted = r.blob();
-    req.sp_p = crypto::RsaPublicKey::deserialize(r.blob());
+    SealedMessage msg;
+    msg.sealed = r.blob();
+    msg.sender_sp = crypto::RsaPublicKey::deserialize(r.blob());
     auto onion = onion::Onion::deserialize(r.blob());
     if (!onion || !r.done()) return std::nullopt;
-    req.reply_onion = std::move(*onion);
-    return req;
-  } catch (const util::TruncatedInput&) {
-    return std::nullopt;
-  }
-}
-
-util::Bytes TrustValueResponse::serialize() const {
-  util::ByteWriter w;
-  w.blob(encrypted);
-  w.blob(sp_e.serialize());
-  w.blob(report_onion.serialize());
-  return w.take();
-}
-
-std::optional<TrustValueResponse> TrustValueResponse::deserialize(
-    std::span<const std::uint8_t> data) {
-  try {
-    util::ByteReader r(data);
-    TrustValueResponse resp;
-    resp.encrypted = r.blob();
-    resp.sp_e = crypto::RsaPublicKey::deserialize(r.blob());
-    auto onion = onion::Onion::deserialize(r.blob());
-    if (!onion || !r.done()) return std::nullopt;
-    resp.report_onion = std::move(*onion);
-    return resp;
+    msg.onion = std::move(*onion);
+    return msg;
   } catch (const util::TruncatedInput&) {
     return std::nullopt;
   }
@@ -92,75 +69,6 @@ std::optional<TransactionReport> TransactionReport::deserialize(
     rep.signature = r.blob();
     if (!r.done()) return std::nullopt;
     return rep;
-  } catch (const util::TruncatedInput&) {
-    return std::nullopt;
-  }
-}
-
-TrustValueRequest build_trust_request(util::Rng& rng,
-                                      const crypto::RsaPublicKey& agent_sp,
-                                      const crypto::Identity& requestor,
-                                      const crypto::NodeId& subject,
-                                      std::uint64_t nonce,
-                                      onion::Onion reply_onion) {
-  util::ByteWriter body;
-  body.u8(kTagRequestBody);
-  write_node_id(body, subject);
-  body.u64(nonce);
-  TrustValueRequest req;
-  req.encrypted = crypto::rsa_encrypt_bytes(rng, agent_sp, body.bytes());
-  req.sp_p = requestor.signature_public();
-  req.reply_onion = std::move(reply_onion);
-  return req;
-}
-
-std::optional<OpenedRequest> open_trust_request(const crypto::Identity& agent,
-                                                const TrustValueRequest& request) {
-  const auto plain =
-      crypto::rsa_decrypt_bytes(agent.signature_private(), request.encrypted);
-  if (!plain) return std::nullopt;
-  try {
-    util::ByteReader r(*plain);
-    if (r.u8() != kTagRequestBody) return std::nullopt;
-    OpenedRequest opened;
-    opened.subject = read_node_id(r);
-    opened.nonce = r.u64();
-    if (!r.done()) return std::nullopt;
-    return opened;
-  } catch (const util::TruncatedInput&) {
-    return std::nullopt;
-  }
-}
-
-TrustValueResponse build_trust_response(util::Rng& rng,
-                                        const crypto::RsaPublicKey& requestor_sp,
-                                        const crypto::Identity& agent,
-                                        double value, std::uint64_t nonce,
-                                        onion::Onion report_onion) {
-  util::ByteWriter body;
-  body.u8(kTagResponseBody);
-  body.f64(value);
-  body.u64(nonce);
-  TrustValueResponse resp;
-  resp.encrypted = crypto::rsa_encrypt_bytes(rng, requestor_sp, body.bytes());
-  resp.sp_e = agent.signature_public();
-  resp.report_onion = std::move(report_onion);
-  return resp;
-}
-
-std::optional<OpenedResponse> open_trust_response(
-    const crypto::Identity& requestor, const TrustValueResponse& response) {
-  const auto plain = crypto::rsa_decrypt_bytes(requestor.signature_private(),
-                                               response.encrypted);
-  if (!plain) return std::nullopt;
-  try {
-    util::ByteReader r(*plain);
-    if (r.u8() != kTagResponseBody) return std::nullopt;
-    OpenedResponse opened;
-    opened.value = r.f64();
-    opened.nonce = r.u64();
-    if (!r.done()) return std::nullopt;
-    return opened;
   } catch (const util::TruncatedInput&) {
     return std::nullopt;
   }
@@ -206,6 +114,179 @@ std::optional<OpenedReport> verify_report(const crypto::RsaPublicKey& reporter_s
   } catch (const util::TruncatedInput&) {
     return std::nullopt;
   }
+}
+
+std::optional<onion::RelayInfo> CipherSuite::verify_relay(
+    net::Transport& transport, util::Rng& /*rng*/,
+    const crypto::Identity& /*owner*/, net::NodeIndex owner_ip,
+    const crypto::Identity& relay, net::NodeIndex relay_ip) const {
+  // The same four messages, empty; the key is taken on faith.
+  for (int leg = 0; leg < 4; ++leg) {
+    const bool outbound = leg % 2 == 0;
+    if (!transport
+             .send(net::EnvelopeType::kKeyExchange,
+                   outbound ? owner_ip : relay_ip,
+                   {outbound ? relay_ip : owner_ip})
+             .delivered) {
+      return std::nullopt;
+    }
+  }
+  return onion::RelayInfo{relay_ip, relay.anonymity_public()};
+}
+
+onion::Onion CipherSuite::issue_onion(
+    util::Rng& /*rng*/, const crypto::Identity& /*owner*/,
+    net::NodeIndex owner_ip, const std::vector<onion::RelayInfo>& relays,
+    std::uint64_t sq) const {
+  onion::Onion onion;
+  onion.entry = relays.empty() ? owner_ip : relays.back().ip;
+  onion.sq = sq;
+  onion.relay_count = static_cast<std::uint32_t>(relays.size());
+  return onion;
+}
+
+namespace {
+
+class RealCipherSuite final : public CipherSuite {
+ public:
+  std::optional<onion::RelayInfo> verify_relay(
+      net::Transport& transport, util::Rng& rng,
+      const crypto::Identity& owner, net::NodeIndex owner_ip,
+      const crypto::Identity& relay,
+      net::NodeIndex relay_ip) const override {
+    onion::HonestRelay endpoint(relay_ip, &relay);
+    return onion::fetch_anonymity_key(transport, rng, owner, owner_ip,
+                                      endpoint);
+  }
+
+  onion::Onion issue_onion(util::Rng& rng, const crypto::Identity& owner,
+                           net::NodeIndex owner_ip,
+                           const std::vector<onion::RelayInfo>& relays,
+                           std::uint64_t sq) const override {
+    return onion::build_onion(rng, owner, owner_ip, relays, sq);
+  }
+
+  const std::vector<net::NodeIndex>* route(
+      onion::Router& router, const onion::Onion& onion,
+      const std::vector<net::NodeIndex>& /*relay_path*/,
+      std::vector<net::NodeIndex>& peeled) const override {
+    auto path = router.peel_path(onion);
+    if (!path) return nullptr;
+    peeled = std::move(*path);
+    return &peeled;
+  }
+
+  util::Bytes seal_query(util::Rng& rng, const crypto::RsaPublicKey& agent_sp,
+                         const TrustQuery& msg) const override {
+    util::ByteWriter body;
+    body.u8(kTagRequestBody);
+    write_node_id(body, msg.subject);
+    body.u64(msg.nonce);
+    return SealedMessage{crypto::rsa_encrypt_bytes(rng, agent_sp, body.bytes()),
+                         msg.sp_p, msg.reply_onion}
+        .serialize();
+  }
+
+  bool open_query(const crypto::Identity& agent,
+                  std::span<const std::uint8_t> wire,
+                  TrustQuery& msg) const override {
+    auto req = SealedMessage::deserialize(wire);
+    if (!req) return false;
+    const auto plain =
+        crypto::rsa_decrypt_bytes(agent.signature_private(), req->sealed);
+    if (!plain) return false;  // not addressed to this agent
+    try {
+      util::ByteReader r(*plain);
+      if (r.u8() != kTagRequestBody) return false;
+      msg.subject = read_node_id(r);
+      msg.nonce = r.u64();
+      if (!r.done()) return false;
+    } catch (const util::TruncatedInput&) {
+      return false;
+    }
+    msg.requestor = crypto::node_id_of_cached(req->sender_sp);
+    msg.sp_p = std::move(req->sender_sp);
+    msg.reply_onion = std::move(req->onion);
+    return true;
+  }
+
+  util::Bytes seal_answer(util::Rng& rng,
+                          const crypto::RsaPublicKey& requestor_sp,
+                          const crypto::Identity& agent,
+                          const TrustAnswer& msg) const override {
+    util::ByteWriter body;
+    body.u8(kTagResponseBody);
+    body.f64(msg.value);
+    body.u64(msg.nonce);
+    return SealedMessage{
+        crypto::rsa_encrypt_bytes(rng, requestor_sp, body.bytes()),
+        agent.signature_public(), msg.report_onion}
+        .serialize();
+  }
+
+  bool open_answer(const crypto::Identity& requestor,
+                   std::span<const std::uint8_t> wire,
+                   TrustAnswer& msg) const override {
+    auto resp = SealedMessage::deserialize(wire);
+    if (!resp) return false;
+    const auto plain = crypto::rsa_decrypt_bytes(requestor.signature_private(),
+                                                 resp->sealed);
+    if (!plain) return false;
+    try {
+      util::ByteReader r(*plain);
+      if (r.u8() != kTagResponseBody) return false;
+      msg.value = r.f64();
+      msg.nonce = r.u64();
+      if (!r.done()) return false;
+    } catch (const util::TruncatedInput&) {
+      return false;
+    }
+    msg.report_onion = std::move(resp->onion);
+    return true;
+  }
+
+  util::Bytes seal_report(util::Rng& rng, const crypto::Identity& reporter,
+                          const OpenedReport& msg) const override {
+    return build_report(reporter, msg.subject, msg.outcome, rng()).serialize();
+  }
+
+  bool open_report(std::span<const std::uint8_t> wire, const KeyLookup& key_of,
+                   OpenedReport& msg) const override {
+    const auto report = TransactionReport::deserialize(wire);
+    if (!report) return false;
+    const auto sp = key_of(report->reporter);
+    if (!sp) return false;  // unknown reporter: §3.5.3 drop
+    const auto opened = verify_report(*sp, *report);
+    if (!opened) return false;  // bad signature: drop
+    msg = *opened;
+    return true;
+  }
+
+  util::Bytes seal_rotation(
+      const crypto::Identity::RotationAnnouncement& msg) const override {
+    return msg.serialize();
+  }
+
+  bool open_rotation(
+      std::span<const std::uint8_t> wire,
+      crypto::Identity::RotationAnnouncement& msg) const override {
+    auto parsed = crypto::Identity::RotationAnnouncement::deserialize(wire);
+    if (!parsed) return false;
+    msg = std::move(*parsed);
+    return true;
+  }
+};
+
+}  // namespace
+
+const CipherSuite& real_cipher_suite() {
+  static const RealCipherSuite suite;
+  return suite;
+}
+
+const CipherSuite& null_cipher_suite() {
+  static const CipherSuite suite;
+  return suite;
 }
 
 }  // namespace hirep::core

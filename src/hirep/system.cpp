@@ -23,20 +23,6 @@ ListParams list_params_from(const HirepOptions& o) {
   return lp;
 }
 
-/// Whether an envelope type lands in one of the buckets
-/// trust_message_total() sums (kOnionRelay is never produced by the
-/// transport, so the three request/response/report kinds are exhaustive).
-bool trust_counted(net::EnvelopeType type) noexcept {
-  switch (net::kind_of(type)) {
-    case net::MessageKind::kTrustRequest:
-    case net::MessageKind::kTrustResponse:
-    case net::MessageKind::kReport:
-      return true;
-    default:
-      return false;
-  }
-}
-
 // Stream salts for the scale engine: transaction streams and deferred
 // maintenance draw from disjoint (seed, salt) families.
 constexpr std::uint64_t kTxnStreamSalt = 0x5ca1ab1e0ddba11dULL;
@@ -67,9 +53,13 @@ IdMap::const_iterator id_lower_bound(const IdMap& m, const crypto::NodeId& id) {
 HirepSystem::HirepSystem(HirepOptions options)
     : World(options, 0x1eafcafeULL, 0xfa017ca7ULL),
       options_(std::move(options)),
+      // The one place the crypto mode is read: every protocol step below
+      // runs the same code and leaves the cipher work to this suite.
+      suite_(options_.crypto == CryptoMode::kFull ? &real_cipher_suite()
+                                                  : &null_cipher_suite()),
       reliable_(&transport_, options_.reliable,
                 options_.seed ^ kChannelSeedSalt),
-      router_(&overlay_, [this](net::NodeIndex v) -> const crypto::Identity* {
+      router_([this](net::NodeIndex v) -> const crypto::Identity* {
         return v < identities_.size() ? &identities_[v] : nullptr;
       }) {
   if (options_.nodes < 8) throw std::invalid_argument("need >= 8 nodes");
@@ -119,7 +109,6 @@ void HirepSystem::make_agent(net::NodeIndex v,
   AgentRuntime& rt = agent_runtimes_[v];
   rt.agent = std::make_unique<ReputationAgent>(
       identity, v, &truth_, trust::model_factory_by_name(options_.agent_model));
-  rt.relays = peers_[v].relays();  // agents reuse their verified relays
   rt.mu = std::make_unique<util::Mutex>();
   rt.recovery = std::make_unique<AgentRecovery>();
   agent_online_[v] = 1;
@@ -240,17 +229,6 @@ HirepSystem::AgentRef HirepSystem::contactable_agent(const crypto::NodeId& id) {
   return ref;
 }
 
-std::vector<net::NodeIndex> HirepSystem::path_of(
-    const std::vector<onion::RelayInfo>& relays, net::NodeIndex owner) const {
-  std::vector<net::NodeIndex> path;
-  path.reserve(relays.size() + 1);
-  for (auto it = relays.rbegin(); it != relays.rend(); ++it) {
-    path.push_back(it->ip);
-  }
-  path.push_back(owner);
-  return path;
-}
-
 std::vector<onion::RelayInfo> HirepSystem::pick_and_verify_relays(
     net::NodeIndex owner) {
   // Current overlay population (the graph is authoritative even during
@@ -260,35 +238,17 @@ std::vector<onion::RelayInfo> HirepSystem::pick_and_verify_relays(
   std::vector<onion::RelayInfo> relays;
   relays.reserve(ips.size());
   for (net::NodeIndex ip : ips) {
-    if (options_.crypto == CryptoMode::kFull) {
-      onion::HonestRelay endpoint(ip, &identities_[ip]);
-      auto info = onion::fetch_anonymity_key(overlay_, rng_,
-                                             identities_[owner], owner,
-                                             endpoint);
-      if (info) relays.push_back(std::move(*info));
-    } else {
-      // Same four handshake messages (Figure 3: two request/response round
-      // trips), key taken on faith; the transport may lose any of them, in
-      // which case the relay fails verification and is skipped.
-      bool handshake_ok = true;
-      for (int message = 0; message < 4 && handshake_ok; ++message) {
-        const net::NodeIndex from = message % 2 == 0 ? owner : ip;
-        const net::NodeIndex to = message % 2 == 0 ? ip : owner;
-        handshake_ok =
-            transport_.send(net::EnvelopeType::kKeyExchange, from, {to})
-                .delivered;
-      }
-      if (handshake_ok) {
-        relays.push_back({ip, identities_[ip].anonymity_public()});
-      }
-    }
+    // Figure-3 handshake over the transport; a relay whose handshake is
+    // lost or fails verification is skipped.
+    auto info = suite_->verify_relay(transport_, rng_, identities_[owner],
+                                     owner, identities_[ip], ip);
+    if (info) relays.push_back(std::move(*info));
   }
   return relays;
 }
 
 onion::Onion HirepSystem::issue_agent_onion(TxnCtx& ctx,
-                                            net::NodeIndex agent_ip,
-                                            AgentRuntime& rt) {
+                                            net::NodeIndex agent_ip) {
   std::uint64_t sq;
   if (ctx.reserved_sqs != nullptr &&
       ctx.reserved_cursor < ctx.reserved_sqs->size()) {
@@ -298,26 +258,18 @@ onion::Onion HirepSystem::issue_agent_onion(TxnCtx& ctx,
     sq = agent_sq_[agent_ip]++;
     router_.note_issued(identities_[agent_ip].node_id(), sq);
   }
-  if (options_.crypto == CryptoMode::kFull) {
-    return onion::build_onion(*ctx.rng, identities_[agent_ip], agent_ip,
-                              rt.relays, sq);
-  }
-  onion::Onion onion;
-  onion.entry = rt.relays.empty() ? agent_ip : rt.relays.back().ip;
-  onion.sq = sq;
-  onion.relay_count = static_cast<std::uint32_t>(rt.relays.size());
-  onion.owner_sig_key = identities_[agent_ip].signature_public();
-  return onion;
+  // Agents issue onions over the relays their peer verified.
+  return suite_->issue_onion(*ctx.rng, identities_[agent_ip], agent_ip,
+                             peers_[agent_ip].relays(), sq);
 }
 
-AgentEntry HirepSystem::self_entry(TxnCtx& ctx, net::NodeIndex agent_ip,
-                                   AgentRuntime& rt) {
+AgentEntry HirepSystem::self_entry(TxnCtx& ctx, net::NodeIndex agent_ip) {
   AgentEntry entry;
   entry.weight = 1.0;
   entry.agent_id = identities_[agent_ip].node_id();
   entry.agent_key = identities_[agent_ip].signature_public();
-  entry.onion = issue_agent_onion(ctx, agent_ip, rt);
-  entry.relay_path = path_of(rt.relays, agent_ip);
+  entry.onion = issue_agent_onion(ctx, agent_ip);
+  entry.relay_path = peers_[agent_ip].relay_path();
   return entry;
 }
 
@@ -326,7 +278,7 @@ std::vector<AgentEntry> HirepSystem::shareable_list(TxnCtx& ctx,
   const auto& list = peers_.at(v).agents();
   if (!list.empty()) return list.entries();
   if (agent_online(v)) {
-    return {self_entry(ctx, v, agent_runtimes_[v])};
+    return {self_entry(ctx, v)};
   }
   return {};
 }
@@ -493,56 +445,70 @@ crypto::NodeId HirepSystem::rotate_peer_key(net::NodeIndex v) {
 
   // "New public keys signed by current private key can be sent out using
   // the most recently received onions" (§3.5): the announcement travels to
-  // every trusted agent over the freshest Onion_e the peer holds.
+  // every trusted agent over the freshest Onion_e the peer holds, and each
+  // agent a copy reaches verifies it and migrates the peer's entry.  A
+  // lost announcement leaves that agent on the old SP.
   TxnCtx ctx = legacy_ctx();
-  Peer& p = peers_.at(v);
-  if (options_.crypto == CryptoMode::kFast) {
-    // All announcements of one rotation ride in one envelope batch.
-    // Announcements need no acknowledgement: any copy that arrived is
-    // applied (at most once).
-    std::vector<net::ReliableChannel::BatchRequest> requests;
-    std::vector<AgentRuntime*> targets;
-    for (auto& entry : p.agents().entries()) {
-      const AgentRef ref = resolve_agent(entry.agent_id);
-      if (!ref || !agent_online_[ref.ip]) continue;
-      requests.push_back({v, &entry.relay_path, {}});
-      targets.push_back(ref.rt);
-    }
-    const auto routed =
-        reliable_.request_batch(net::EnvelopeType::kKeyRotation, requests);
-    for (std::size_t i = 0; i < routed.size(); ++i) {
-      if (!routed[i].applied) continue;  // announcement lost: agent keeps SP
-      targets[i]->agent->migrate_key(old_id, announcement);
-    }
-    return identity.node_id();
-  }
-  const util::Bytes wire = announcement.serialize();
-  for (auto& entry : p.agents().entries()) {
-    const AgentRef ref = resolve_agent(entry.agent_id);
-    if (!ref || !agent_online_[ref.ip]) continue;
-    const auto routed = route_envelope(ctx, v, entry.onion, wire,
-                                       net::EnvelopeType::kKeyRotation);
-    if (!routed.delivered) continue;
-    const auto parsed =
-        crypto::Identity::RotationAnnouncement::deserialize(routed.payload);
-    if (!parsed) continue;
-    ref.rt->agent->migrate_key(old_id, *parsed);
-  }
+  fan_out(ctx, net::EnvelopeType::kKeyRotation, peers_.at(v),
+          [&] { return suite_->seal_rotation(announcement); },
+          [&](AgentRuntime& rt, std::span<const std::uint8_t> wire) {
+            auto heard = announcement;
+            if (suite_->open_rotation(wire, heard)) {
+              rt.agent->migrate_key(old_id, heard);
+            }
+          });
   return identity.node_id();
 }
 
-HirepSystem::RoutedEnvelope HirepSystem::route_envelope(
-    TxnCtx& ctx, net::NodeIndex sender, const onion::Onion& onion,
-    util::Bytes wire, net::EnvelopeType type) {
-  RoutedEnvelope result;
-  const auto path = router_.peel_path(onion);
-  if (!path) return result;  // bad signature / stale sq / corrupt layer
+net::RequestOutcome HirepSystem::send_over(
+    TxnCtx& ctx, net::EnvelopeType type, net::NodeIndex sender,
+    const onion::Onion& onion, const std::vector<net::NodeIndex>& relay_path,
+    util::Bytes wire) {
+  std::vector<net::NodeIndex> peeled;
+  const auto* path = suite_->route(router_, onion, relay_path, peeled);
+  if (path == nullptr) return {};  // bad signature / stale sq / corrupt layer
   auto outcome = ctx.channel->request(type, sender, *path, std::move(wire));
-  if (trust_counted(type)) ctx.trust_messages += outcome.messages;
-  result.delivered = outcome.ok;
-  result.destination = outcome.destination;
-  result.payload = std::move(outcome.payload);
-  return result;
+  ctx.trust_messages += outcome.messages;
+  return outcome;
+}
+
+template <class Seal, class Deliver>
+void HirepSystem::fan_out(TxnCtx& ctx, net::EnvelopeType type, Peer& sender,
+                          Seal seal, Deliver deliver) {
+  // One message per online trusted agent, all in one envelope batch
+  // through the reliable channel.  None needs an acknowledgement: any copy
+  // that reached its agent is applied (at most once), even one that landed
+  // past the sender's deadline.  Application commutes across distinct
+  // agents, so applying after the batch equals the per-entry sequential
+  // form.
+  struct Outgoing {
+    AgentRuntime* rt;
+    util::Bytes wire;
+    std::vector<net::NodeIndex> peeled;
+  };
+  const auto& entries = sender.agents().entries();
+  std::vector<Outgoing> outgoing;
+  outgoing.reserve(entries.size());  // requests point into these elements
+  std::vector<net::ReliableChannel::BatchRequest> requests;
+  requests.reserve(entries.size());
+  for (const auto& entry : entries) {
+    const AgentRef ref = resolve_agent(entry.agent_id);
+    if (!ref || !agent_online_[ref.ip]) continue;
+    outgoing.push_back({ref.rt, seal(), {}});
+    Outgoing& out = outgoing.back();
+    const auto* path =
+        suite_->route(router_, entry.onion, entry.relay_path, out.peeled);
+    if (path == nullptr) {
+      outgoing.pop_back();
+      continue;
+    }
+    requests.push_back({sender.ip(), path, out.wire});
+  }
+  const auto routed = ctx.channel->request_batch(type, requests);
+  for (std::size_t i = 0; i < routed.size(); ++i) {
+    ctx.trust_messages += routed[i].messages;
+    if (routed[i].applied) deliver(*outgoing[i].rt, routed[i].payload);
+  }
 }
 
 std::optional<double> HirepSystem::exchange_with_agent(
@@ -552,109 +518,78 @@ std::optional<double> HirepSystem::exchange_with_agent(
   if (!ref) return std::nullopt;
   AgentRuntime* rt = ref.rt;
   const auto agent_ip = ref.ip;
+
+  // Requestor: R = {subject, nonce} sealed to the agent, with a fresh reply
+  // onion, over the agent's onion.  A lost request means the agent never
+  // hears the question.
   const std::uint64_t nonce = (*ctx.rng)();
-
-  if (options_.crypto == CryptoMode::kFast) {
-    // Identical message counts, protocol work elided.  A lost request means
-    // the agent never hears the question; a lost response means the agent
-    // answered but the requestor treats it as unreachable (§3.4.3).
-    const auto to_agent = ctx.channel->request(net::EnvelopeType::kTrustRequest,
-                                               requestor.ip(), entry.relay_path);
-    ctx.trust_messages += to_agent.messages;
-    if (!to_agent.ok) return std::nullopt;
-    double value;
-    {
-      // Agents may be shared between transactions of one wave; requestors
-      // are not.  All agent-side state transitions commute (see DESIGN §9).
-      util::MutexLock lock(*rt->mu);
-      rt->agent->register_key(requestor.node_id(),
-                              requestor.identity().signature_public());
-      value = rt->agent->trust_value(subject_id, subject_ip, *ctx.rng);
-    }
-    if constexpr (obs::kEnabled) {
-      static obs::Counter& votes =
-          obs::Registry::global().counter("hirep.trust.votes_sent");
-      votes.add();  // the agent answered, even if the response is then lost
-    }
-    onion::Onion fresh = issue_agent_onion(ctx, agent_ip, *rt);
-    const auto to_peer = ctx.channel->request(net::EnvelopeType::kTrustResponse,
-                                              agent_ip, requestor.relay_path());
-    ctx.trust_messages += to_peer.messages;
-    if (!to_peer.ok) return std::nullopt;
-    if constexpr (check::kEnabled) {
-      // Holder-side §3.3 invariant: within an entry's lifetime, the onion a
-      // holder keeps for an issuer is only ever replaced by a fresher one.
-      if (fresh.sq < entry.onion.sq) {
-        check::report({"onion.sq.holder_monotone",
-                       "refreshed onion sq " + std::to_string(fresh.sq) +
-                           " < held sq " + std::to_string(entry.onion.sq),
-                       -1.0, crypto::NodeIdHash{}(entry.agent_id),
-                       requestor.ip()});
-      }
-    }
-    entry.onion = std::move(fresh);
-    entry.relay_path = path_of(rt->relays, agent_ip);
-    return value;
-  }
-
-  // --- full crypto path ---
-  auto onion_p = requestor.issue_onion(*ctx.rng);
-  const TrustValueRequest request = build_trust_request(
-      *ctx.rng, entry.agent_key, requestor.identity(), subject_id, nonce,
-      std::move(onion_p));
-  const auto to_agent =
-      route_envelope(ctx, requestor.ip(), entry.onion, request.serialize(),
-                     net::EnvelopeType::kTrustRequest);
-  if (!to_agent.delivered || to_agent.destination != agent_ip) {
-    return std::nullopt;
-  }
+  TrustQuery query;
+  query.subject = subject_id;
+  query.nonce = nonce;
+  query.requestor = requestor.node_id();
+  query.sp_p = requestor.identity().signature_public();
+  query.reply_onion = requestor.issue_onion(*ctx.rng, *suite_);
+  const auto to_agent = send_over(
+      ctx, net::EnvelopeType::kTrustRequest, requestor.ip(), entry.onion,
+      entry.relay_path,
+      suite_->seal_query(*ctx.rng, entry.agent_key, query));
+  if (!to_agent.ok || to_agent.destination != agent_ip) return std::nullopt;
 
   // Agent side.
-  const auto parsed = TrustValueRequest::deserialize(to_agent.payload);
-  if (!parsed) return std::nullopt;
-  const auto opened = open_trust_request(rt->agent->identity(), *parsed);
-  if (!opened) return std::nullopt;
-  double value;
+  if (!suite_->open_query(rt->agent->identity(), to_agent.payload, query)) {
+    return std::nullopt;
+  }
+  TrustAnswer answer;
+  answer.nonce = query.nonce;
   {
+    // Agents may be shared between transactions of one wave; requestors
+    // are not.  All agent-side state transitions commute (see DESIGN §9).
     util::MutexLock lock(*rt->mu);
-    rt->agent->register_key(crypto::node_id_of_cached(parsed->sp_p),
-                            parsed->sp_p);
-    value = rt->agent->trust_value(opened->subject, subject_ip, *ctx.rng);
+    rt->agent->register_key(query.requestor, query.sp_p);
+    answer.value = rt->agent->trust_value(query.subject, subject_ip, *ctx.rng);
   }
   if constexpr (obs::kEnabled) {
     static obs::Counter& votes =
         obs::Registry::global().counter("hirep.trust.votes_sent");
     votes.add();  // the agent answered, even if the response is then lost
   }
-  const TrustValueResponse response = build_trust_response(
-      *ctx.rng, parsed->sp_p, rt->agent->identity(), value, opened->nonce,
-      issue_agent_onion(ctx, agent_ip, *rt));
-  const auto to_peer =
-      route_envelope(ctx, agent_ip, parsed->reply_onion, response.serialize(),
-                     net::EnvelopeType::kTrustResponse);
-  if (!to_peer.delivered || to_peer.destination != requestor.ip()) {
+  // The answer carries a fresh Onion_e over the requestor's onion.  A lost
+  // response means the agent answered but the requestor treats it as
+  // unreachable (§3.4.3).
+  answer.report_onion = issue_agent_onion(ctx, agent_ip);
+  const auto to_peer = send_over(
+      ctx, net::EnvelopeType::kTrustResponse, agent_ip, query.reply_onion,
+      requestor.relay_path(),
+      suite_->seal_answer(*ctx.rng, query.sp_p, rt->agent->identity(),
+                          answer));
+  if (!to_peer.ok || to_peer.destination != requestor.ip()) {
     return std::nullopt;
   }
 
   // Back at the requestor.
-  const auto parsed_resp = TrustValueResponse::deserialize(to_peer.payload);
-  if (!parsed_resp) return std::nullopt;
-  const auto opened_resp = open_trust_response(requestor.identity(), *parsed_resp);
-  if (!opened_resp || opened_resp->nonce != nonce) return std::nullopt;
+  if (!suite_->open_answer(requestor.identity(), to_peer.payload, answer) ||
+      answer.nonce != nonce) {
+    return std::nullopt;
+  }
   if constexpr (check::kEnabled) {
-    if (parsed_resp->report_onion.sq < entry.onion.sq) {
+    // Holder-side §3.3 invariant: within an entry's lifetime, the onion a
+    // holder keeps for an issuer is only ever replaced by a fresher one.
+    if (answer.report_onion.sq < entry.onion.sq) {
       check::report({"onion.sq.holder_monotone",
                      "refreshed onion sq " +
-                         std::to_string(parsed_resp->report_onion.sq) +
+                         std::to_string(answer.report_onion.sq) +
                          " < held sq " + std::to_string(entry.onion.sq),
                      -1.0, crypto::NodeIdHash{}(entry.agent_id),
                      requestor.ip()});
     }
   }
-  // Refresh the reply path with the agent's newest onion.
-  entry.onion = parsed_resp->report_onion;
-  entry.relay_path = path_of(rt->relays, agent_ip);
-  return opened_resp->value;
+  // Refresh the reply path with the agent's newest onion.  Copied, not
+  // moved: the entry keeps its own buffers, while a moved-in onion would
+  // leave these long-lived bytes in whichever lane's heap parsed them
+  // (+1.3 MB peak RSS on a 2k-node full-crypto run).
+  entry.onion = answer.report_onion;
+  entry.relay_path = peers_[agent_ip].relay_path();
+  return answer.value;
 }
 
 HirepSystem::QueryResult HirepSystem::query_trust(TxnCtx& ctx,
@@ -718,73 +653,6 @@ HirepSystem::QueryResult HirepSystem::query_trust(net::NodeIndex requestor_ip,
   return query_trust(ctx, requestor_ip, subject_ip);
 }
 
-void HirepSystem::send_report(TxnCtx& ctx, Peer& reporter, AgentEntry& entry,
-                              const crypto::NodeId& subject_id,
-                              double outcome) {
-  const AgentRef ref = resolve_agent(entry.agent_id);
-  if (!ref || !agent_online_[ref.ip]) return;
-  AgentRuntime* rt = ref.rt;
-
-  if (options_.crypto == CryptoMode::kFast) {
-    const auto routed = ctx.channel->request(net::EnvelopeType::kReport,
-                                             reporter.ip(), entry.relay_path);
-    ctx.trust_messages += routed.messages;
-    // A report needs no acknowledgement: even a copy that arrived past the
-    // reporter's deadline is applied (at most once) at the agent.
-    if (!routed.applied) return;  // report lost: agent never learns of it
-    util::MutexLock lock(*rt->mu);
-    rt->agent->accept_report(subject_id, outcome);
-    return;
-  }
-
-  const TransactionReport report =
-      build_report(reporter.identity(), subject_id, outcome, (*ctx.rng)());
-  const auto routed = route_envelope(ctx, reporter.ip(), entry.onion,
-                                     report.serialize(),
-                                     net::EnvelopeType::kReport);
-  if (!routed.delivered) return;
-  const auto parsed = TransactionReport::deserialize(routed.payload);
-  if (!parsed) return;
-  // lookup_key returns the key by value, so the signature check (the
-  // expensive part) runs outside the agent lock.
-  std::optional<crypto::RsaPublicKey> sp;
-  {
-    util::MutexLock lock(*rt->mu);
-    sp = rt->agent->lookup_key(parsed->reporter);
-  }
-  if (!sp) return;  // unknown reporter: §3.5.3 drop
-  const auto opened = verify_report(*sp, *parsed);
-  if (!opened) return;  // bad signature: drop
-  util::MutexLock lock(*rt->mu);
-  rt->agent->accept_report(opened->subject, opened->outcome);
-}
-
-void HirepSystem::report_batch(TxnCtx& ctx, Peer& reporter,
-                               const crypto::NodeId& subject_id,
-                               double outcome) {
-  // Fast-crypto fan-out: every §3.6 report of this transaction rides in
-  // one envelope batch through the reliable channel.  Reports need no
-  // acknowledgement — any copy that arrived is applied at most once — and
-  // agent application commutes across distinct agents, so tallying after
-  // the batch is equivalent to the per-entry sequential form.
-  std::vector<net::ReliableChannel::BatchRequest> requests;
-  std::vector<AgentRef> targets;
-  for (auto& entry : reporter.agents().entries()) {
-    const AgentRef ref = resolve_agent(entry.agent_id);
-    if (!ref || !agent_online_[ref.ip]) continue;
-    requests.push_back({reporter.ip(), &entry.relay_path, {}});
-    targets.push_back(ref);
-  }
-  const auto routed =
-      ctx.channel->request_batch(net::EnvelopeType::kReport, requests);
-  for (std::size_t i = 0; i < routed.size(); ++i) {
-    ctx.trust_messages += routed[i].messages;
-    if (!routed[i].applied) continue;  // report lost: agent never learns
-    util::MutexLock lock(*targets[i].rt->mu);
-    targets[i].rt->agent->accept_report(subject_id, outcome);
-  }
-}
-
 HirepSystem::TransactionRecord HirepSystem::run_transaction() {
   const auto [requestor, provider] = random_pair();
   return run_transaction(requestor, provider);
@@ -832,13 +700,23 @@ HirepSystem::TransactionRecord HirepSystem::complete_transaction(
   // don't report it.
   const double reported =
       truth_.reported_outcome(requestor, provider, record.outcome);
-  if (options_.crypto == CryptoMode::kFast) {
-    report_batch(ctx, p, subject_id, reported);
-  } else {
-    for (auto& entry : p.agents().entries()) {
-      send_report(ctx, p, entry, subject_id, reported);
-    }
-  }
+  fan_out(ctx, net::EnvelopeType::kReport, p,
+          [&] {
+            return suite_->seal_report(*ctx.rng, p.identity(),
+                                       {subject_id, reported});
+          },
+          [&](AgentRuntime& rt, std::span<const std::uint8_t> wire) {
+            OpenedReport report{subject_id, reported};
+            // lookup_key returns the key by value, so the signature check
+            // (the expensive part) runs outside the agent lock.
+            const auto key_of = [&rt](const crypto::NodeId& id) {
+              util::MutexLock lock(*rt.mu);
+              return rt.agent->lookup_key(id);
+            };
+            if (!suite_->open_report(wire, key_of, report)) return;
+            util::MutexLock lock(*rt.mu);
+            rt.agent->accept_report(report.subject, report.outcome);
+          });
 
   // Maintenance (§3.4.3).  Batched execution defers it to the wave barrier:
   // discovery touches peers outside this transaction's conflict set.  A

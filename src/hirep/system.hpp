@@ -10,9 +10,13 @@
 //   auto record = system.run_transaction();
 //   // record.estimate vs record.truth_value, record.trust_messages, ...
 //
-// Crypto modes: kFull runs every onion layer, signature and encryption for
-// real; kFast executes the identical protocol/state machine and counts the
-// identical messages but skips the cipher work (large parameter sweeps).
+// Crypto modes: each protocol step (relay handshake, onion issue, trust
+// request and response, report and key-rotation fan-out) is written once
+// and hands its cipher work to a CipherSuite (protocol.hpp), which the
+// constructor picks from options.crypto.  kFull runs every onion layer,
+// signature and encryption for real; kFast runs the same steps with the
+// null suite, which sends the same envelopes along the same paths but
+// carries no bytes and draws nothing (large parameter sweeps).
 //
 // Scale engine: run_transactions() executes a pre-drawn batch of
 // requestor/provider pairs in conflict-free waves on a thread pool.  Every
@@ -45,8 +49,8 @@
 namespace hirep::core {
 
 enum class CryptoMode {
-  kFull,  ///< real RSA/onion work end to end
-  kFast   ///< same protocol flow + message counts, ciphers skipped
+  kFull,  ///< real RSA/onion work end to end (real_cipher_suite)
+  kFast   ///< same protocol and messages, ciphers skipped (null_cipher_suite)
 };
 
 struct HirepOptions : trust::WorldOptions {
@@ -233,7 +237,6 @@ class HirepSystem : public trust::World {
 
   struct AgentRuntime {
     std::unique_ptr<ReputationAgent> agent;  ///< null: node is not an agent
-    std::vector<onion::RelayInfo> relays;
     /// Serializes agent-side mutation when engine waves share the agent
     /// (requestors/providers are exclusive per wave; agents are not).
     /// Allocated only for actual agents; unique_ptr keeps Runtime movable.
@@ -257,7 +260,7 @@ class HirepSystem : public trust::World {
   AgentRuntime* runtime_of(const crypto::NodeId& id) {
     return resolve_agent(id).rt;
   }
-  /// Installs agent state for node v (relays shared with its peer).
+  /// Installs agent state for node v (its onions use its peer's relays).
   void make_agent(net::NodeIndex v, const crypto::Identity* identity);
 
   /// Everything one in-flight transaction threads through the protocol
@@ -267,8 +270,8 @@ class HirepSystem : public trust::World {
     util::Rng* rng = nullptr;
     net::Transport* transport = nullptr;
     /// Retry channel over `transport`; carries trust requests/responses,
-    /// reports, and §3.4.3 probes (discovery walks and key handshakes stay
-    /// on the bare transport — they are not request/response exchanges).
+    /// reports, key-rotation announcements and §3.4.3 probes (discovery
+    /// walks and key handshakes stay on the bare transport).
     net::ReliableChannel* channel = nullptr;
     /// Onion sequence numbers reserved serially at wave formation (instant
     /// delivery only); consumed in issue order by issue_agent_onion.
@@ -286,27 +289,30 @@ class HirepSystem : public trust::World {
   /// The (seed, index)-derived RNG stream for lifetime transaction `index`.
   util::Rng txn_stream(std::uint64_t index) const;
 
-  /// Full-crypto envelope routing: enumerates the onion's relay hops
-  /// (Router::peel_path) and carries `wire` along them through the
-  /// transport, so drops/delays/duplication apply per hop.
-  struct RoutedEnvelope {
-    bool delivered = false;
-    net::NodeIndex destination = net::kInvalidNode;
-    util::Bytes payload;
-  };
-  RoutedEnvelope route_envelope(TxnCtx& ctx, net::NodeIndex sender,
-                                const onion::Onion& onion, util::Bytes wire,
-                                net::EnvelopeType type);
+  /// Sends one onion-routed request: the suite resolves the path of
+  /// `onion` (built over `relay_path`) and the reliable channel carries
+  /// `wire` along it; the messages count toward ctx.trust_messages.  An
+  /// onion that does not verify sends nothing.
+  net::RequestOutcome send_over(TxnCtx& ctx, net::EnvelopeType type,
+                                net::NodeIndex sender,
+                                const onion::Onion& onion,
+                                const std::vector<net::NodeIndex>& relay_path,
+                                util::Bytes wire);
 
-  onion::Onion issue_agent_onion(TxnCtx& ctx, net::NodeIndex agent_ip,
-                                 AgentRuntime& rt);
-  AgentEntry self_entry(TxnCtx& ctx, net::NodeIndex agent_ip, AgentRuntime& rt);
+  /// Sends `seal()` to each of `sender`'s online trusted agents over its
+  /// held onion, all in one ReliableChannel::request_batch, and calls
+  /// `deliver(agent runtime, bytes)` for every copy the channel applied.
+  /// Shared by the §3.6 report and §3.5 key-rotation fan-outs.
+  template <class Seal, class Deliver>
+  void fan_out(TxnCtx& ctx, net::EnvelopeType type, Peer& sender, Seal seal,
+               Deliver deliver);
+
+  onion::Onion issue_agent_onion(TxnCtx& ctx, net::NodeIndex agent_ip);
+  AgentEntry self_entry(TxnCtx& ctx, net::NodeIndex agent_ip);
   std::vector<AgentEntry> shareable_list(TxnCtx& ctx, net::NodeIndex v);
   std::size_t discover_agents(TxnCtx& ctx, net::NodeIndex peer_ip);
   void refill(TxnCtx& ctx, net::NodeIndex peer_ip);
   std::vector<onion::RelayInfo> pick_and_verify_relays(net::NodeIndex owner);
-  std::vector<net::NodeIndex> path_of(const std::vector<onion::RelayInfo>& relays,
-                                      net::NodeIndex owner) const;
 
   /// Runs one request/response round with a single agent entry; returns the
   /// rating, or nullopt when the agent is offline/unreachable (the entry is
@@ -315,14 +321,6 @@ class HirepSystem : public trust::World {
                                             AgentEntry& entry,
                                             net::NodeIndex subject_ip,
                                             const crypto::NodeId& subject_id);
-
-  void send_report(TxnCtx& ctx, Peer& reporter, AgentEntry& entry,
-                   const crypto::NodeId& subject_id, double outcome);
-
-  /// Fast-crypto §3.6 fan-out: all of one transaction's reports in one
-  /// envelope batch through ctx.channel.
-  void report_batch(TxnCtx& ctx, Peer& reporter,
-                    const crypto::NodeId& subject_id, double outcome);
 
   /// Suspicion ladder: a failed exchange bumps the agent's counter and
   /// quarantines it at the threshold; a success resets the counter.
@@ -340,6 +338,7 @@ class HirepSystem : public trust::World {
                                          const QueryResult& query);
 
   HirepOptions options_;
+  const CipherSuite* suite_;       ///< picked from options_.crypto
   net::ReliableChannel reliable_;  ///< retry channel over transport_
   std::deque<crypto::Identity> identities_;  // reference-stable on growth
   onion::Router router_;

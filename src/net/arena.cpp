@@ -47,7 +47,9 @@ void PayloadArena::add_slab(std::size_t at_least) {
   }
   const std::size_t size = std::max(slab_bytes_, at_least);
   Slab slab;
-  slab.data = std::make_unique<std::uint8_t[]>(size);
+  // Not zero-filled: a slab's pages count toward RSS only once payload
+  // bytes are written into them.
+  slab.data = std::make_unique_for_overwrite<std::uint8_t[]>(size);
   slab.size = size;
   slabs_.insert(slabs_.begin() + static_cast<std::ptrdiff_t>(target),
                 std::move(slab));

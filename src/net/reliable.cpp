@@ -68,7 +68,11 @@ bool ReliableChannel::settle(const DeliveryReceipt& receipt,
   out.messages += receipt.messages;
   if (!receipt.delivered) return false;
   if (dedup_.first_application(request_id, receipt.completion_ms)) {
+    // The copy the destination acts on, in time or not: a late copy of a
+    // request that needs no answer still takes effect there.
     out.applied = true;
+    out.destination = receipt.destination;
+    out.payload = receipt.payload;
   } else {
     // A retransmission of a request whose earlier (late) copy already
     // reached the destination: applied at most once.
@@ -80,9 +84,7 @@ bool ReliableChannel::settle(const DeliveryReceipt& receipt,
       receipt.completion_ms - receipt.start_ms > policy_.timeout_ms;
   if (late) return false;
   out.ok = true;
-  out.destination = receipt.destination;
   out.completion_ms = receipt.completion_ms;
-  out.payload = receipt.payload;
   return true;
 }
 

@@ -83,15 +83,15 @@ struct ReliablePolicy {
 
 /// What the caller learns about one logical request.
 struct RequestOutcome {
-  bool ok = false;       ///< a copy arrived within the deadline; payload valid
+  bool ok = false;       ///< a copy arrived within the deadline
   bool applied = false;  ///< destination received >= 1 copy (side effects
                          ///< apply exactly once even when ok is false)
   std::uint32_t attempts = 0;   ///< transmissions tried (>= 1)
   std::uint32_t timeouts = 0;   ///< attempts lost or past the deadline
   std::uint64_t messages = 0;   ///< wire transmissions across all attempts
   double completion_ms = 0.0;   ///< sim clock when the accepted copy landed
-  NodeIndex destination = kInvalidNode;
-  util::Bytes payload;          ///< destination-side bytes (ok only)
+  NodeIndex destination = kInvalidNode;  ///< where the applied copy landed
+  util::Bytes payload;  ///< bytes of the applied copy (set whenever applied)
 };
 
 class ReliableChannel {

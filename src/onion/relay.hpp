@@ -17,7 +17,7 @@
 #include <optional>
 
 #include "crypto/identity.hpp"
-#include "net/overlay.hpp"
+#include "net/transport.hpp"
 #include "util/rng.hpp"
 
 namespace hirep::onion {
@@ -68,10 +68,13 @@ class HonestRelay final : public RelayEndpoint {
 };
 
 /// Runs the full four-message handshake between `requestor` (at
-/// requestor_ip) and `relay`.  Counts 4 kKeyExchange messages on the
-/// overlay.  Returns the verified RelayInfo, or nullopt when any step fails
-/// (wrong nonce, undecryptable message, key mismatch).
-std::optional<RelayInfo> fetch_anonymity_key(net::Overlay& overlay,
+/// requestor_ip) and `relay`: four kKeyExchange envelopes over the
+/// transport, carrying the real bytes, each side acting on what arrived.
+/// Returns the verified
+/// RelayInfo, or nullopt when a message is lost or any step fails (wrong
+/// nonce, undecryptable message, key mismatch); a failed step sends
+/// nothing further.
+std::optional<RelayInfo> fetch_anonymity_key(net::Transport& transport,
                                              util::Rng& rng,
                                              const crypto::Identity& requestor,
                                              net::NodeIndex requestor_ip,

@@ -4,25 +4,12 @@
 
 namespace hirep::onion {
 
-Router::Router(net::Overlay* overlay, IdentityResolver resolver)
-    : overlay_(overlay), resolver_(std::move(resolver)) {}
+Router::Router(IdentityResolver resolver) : resolver_(std::move(resolver)) {}
 
-Router::Router(net::Overlay* overlay,
-               const std::vector<crypto::Identity>* identities)
-    : Router(overlay, [identities](net::NodeIndex v) -> const crypto::Identity* {
+Router::Router(const std::vector<crypto::Identity>* identities)
+    : Router([identities](net::NodeIndex v) -> const crypto::Identity* {
         return v < identities->size() ? &(*identities)[v] : nullptr;
       }) {}
-
-RouteResult Router::route(net::NodeIndex sender_ip, const Onion& onion,
-                          const util::Bytes& payload, net::MessageKind kind) {
-  return route_impl(std::nullopt, sender_ip, onion, payload, kind);
-}
-
-RouteResult Router::route_timed(double depart_ms, net::NodeIndex sender_ip,
-                                const Onion& onion, const util::Bytes& payload,
-                                net::MessageKind kind) {
-  return route_impl(depart_ms, sender_ip, onion, payload, kind);
-}
 
 void Router::note_issued(const crypto::NodeId& owner, std::uint64_t sq) {
   if constexpr (obs::kEnabled) {
@@ -56,50 +43,6 @@ std::optional<std::vector<net::NodeIndex>> Router::peel_path(
     blob = peeled->inner;
   }
   return std::nullopt;  // layer structure deeper than declared: reject
-}
-
-RouteResult Router::route_impl(std::optional<double> depart_ms,
-                               net::NodeIndex sender_ip, const Onion& onion,
-                               const util::Bytes& payload,
-                               net::MessageKind kind) {
-  RouteResult result;
-  if (!verify_onion(onion)) return result;
-  if (!guard_.accept(crypto::NodeId::of_key(onion.owner_sig_key), onion.sq)) {
-    return result;
-  }
-
-  net::NodeIndex from = sender_ip;
-  net::NodeIndex at = onion.entry;
-  util::Bytes blob = onion.blob;
-  double clock = depart_ms.value_or(0.0);
-
-  // Hop 0: sender transmits (onion, payload) to the entry relay.  Each
-  // relay peels one layer and forwards the rest.  Loop is bounded by the
-  // onion's layer count plus one terminal peel.
-  for (std::uint32_t step = 0; step <= onion.relay_count + 1; ++step) {
-    const crypto::Identity* holder = resolver_(at);
-    if (holder == nullptr) return result;
-    if (depart_ms) {
-      clock = overlay_->timed_send(clock, from, at, kind);
-    } else {
-      overlay_->count_send(kind);
-    }
-    ++result.hops;
-
-    const auto peeled = peel(blob, holder->anonymity_private());
-    if (!peeled) return result;  // not addressed to this node / corrupted
-    if (peeled->terminal) {
-      result.delivered = true;
-      result.destination = at;
-      result.completion_ms = clock;
-      result.payload = payload;
-      return result;
-    }
-    from = at;
-    at = peeled->next;
-    blob = peeled->inner;
-  }
-  return result;  // layer structure deeper than declared: reject
 }
 
 std::vector<net::NodeIndex> pick_relay_ips(util::Rng& rng, std::size_t n,

@@ -1,8 +1,10 @@
-// Onion routing over the simulated overlay: carries a payload through every
-// relay of an onion, peeling at each hop, with full traffic accounting and
-// (optionally) queueing-model timing.  The router holds the registry of
-// node identities — the simulator's stand-in for "each relay process owns
-// its private key".
+// Onion path resolution over the simulated overlay: verifies an onion and
+// peels it layer by layer into the node path a message sent over it
+// travels.  The caller carries the message along that path through
+// net::Transport, so every onion-routed send obeys the delivery policy and
+// lands in the envelope ledger.  The router holds the registry of node
+// identities — the simulator's stand-in for "each relay process owns its
+// private key" — and the network-wide sq anti-replay guard.
 #pragma once
 
 #include <functional>
@@ -11,18 +13,9 @@
 
 #include "check/invariants.hpp"
 #include "crypto/identity.hpp"
-#include "net/overlay.hpp"
 #include "onion/onion.hpp"
 
 namespace hirep::onion {
-
-struct RouteResult {
-  bool delivered = false;
-  net::NodeIndex destination = net::kInvalidNode;
-  std::uint32_t hops = 0;        ///< messages sent (relays + final hop)
-  double completion_ms = 0.0;    ///< timed mode only
-  util::Bytes payload;           ///< what the destination received
-};
 
 class Router {
  public:
@@ -32,33 +25,17 @@ class Router {
   using IdentityResolver =
       std::function<const crypto::Identity*(net::NodeIndex)>;
 
-  Router(net::Overlay* overlay, IdentityResolver resolver);
+  explicit Router(IdentityResolver resolver);
 
   /// Convenience for the common fixed-population case.
-  Router(net::Overlay* overlay, const std::vector<crypto::Identity>* identities);
-
-  /// Sends `payload` along `onion`, starting from `sender_ip`.
-  /// Counts one message per hop under `kind`.  Verifies the onion
-  /// signature first and each relay enforces the sq guard; returns
-  /// delivered=false on any failure (bad signature, undecryptable layer,
-  /// stale sq).
-  RouteResult route(net::NodeIndex sender_ip, const Onion& onion,
-                    const util::Bytes& payload, net::MessageKind kind);
-
-  /// Timed variant: messages traverse the queueing model; completion_ms is
-  /// when the destination finishes handling the payload, having departed
-  /// `depart_ms`.
-  RouteResult route_timed(double depart_ms, net::NodeIndex sender_ip,
-                          const Onion& onion, const util::Bytes& payload,
-                          net::MessageKind kind);
+  explicit Router(const std::vector<crypto::Identity>* identities);
 
   /// Enumerates the hop-by-hop node path of `onion` (entry relay first,
   /// destination last) by verifying the signature, enforcing the sq guard,
-  /// and peeling every layer — without transmitting anything.  This is the
-  /// seam the typed transport rides on: the transport carries the payload
-  /// along the returned path under its own delivery policy.  nullopt on bad
-  /// signature, stale sq, or an undecryptable/over-deep layer structure;
-  /// the sq is consumed exactly as a routed send would consume it.
+  /// and peeling every layer — without transmitting anything.  The
+  /// transport then carries the payload along the returned path under its
+  /// own delivery policy.  nullopt on bad signature, stale sq, or an
+  /// undecryptable/over-deep layer structure.
   std::optional<std::vector<net::NodeIndex>> peel_path(const Onion& onion);
 
   /// The anti-replay state shared by all relays in this simulation.
@@ -71,11 +48,6 @@ class Router {
   void note_issued(const crypto::NodeId& owner, std::uint64_t sq);
 
  private:
-  RouteResult route_impl(std::optional<double> depart_ms,
-                         net::NodeIndex sender_ip, const Onion& onion,
-                         const util::Bytes& payload, net::MessageKind kind);
-
-  net::Overlay* overlay_;
   IdentityResolver resolver_;
   SequenceGuard guard_;
   check::MonotoneSequence issued_sq_{"onion.sq.issuer_monotone"};

@@ -87,28 +87,32 @@ bool attempt_mitm_key_substitution(core::HirepSystem& system,
   const auto& ids = system.identities();
   MitmRelay mitm(relay, &ids.at(relay), &ids.at(attacker));
   const auto info = onion::fetch_anonymity_key(
-      system.overlay(), system.rng(), ids.at(requestor), requestor, mitm);
+      system.transport(), system.rng(), ids.at(requestor), requestor, mitm);
   return info.has_value();  // acceptance == successful MITM
 }
 
 bool attempt_onion_replay(core::HirepSystem& system, net::NodeIndex owner) {
   auto& p = system.peer(owner);
   auto& rng = system.rng();
-  const onion::Onion stale = p.issue_onion(rng);
-  const onion::Onion fresh = p.issue_onion(rng);
+  const onion::Onion stale = p.issue_onion(rng, core::real_cipher_suite());
+  const onion::Onion fresh = p.issue_onion(rng, core::real_cipher_suite());
 
-  const util::Bytes payload{0x42};
+  // A payload sent over an onion: the router peels the path (verifying the
+  // signature and the sq guard), the transport carries it hop by hop.
+  const auto routed = [&](const onion::Onion& onion) {
+    const auto path = system.router().peel_path(onion);
+    if (!path) return false;
+    return system.transport()
+        .send(net::EnvelopeType::kProbe, owner, *path, {0x42})
+        .delivered;
+  };
   // The owner performs its periodic onion refresh (§3.3: sq indicates the
   // age of the onion; holders keep only the freshest): everything older
   // than the current onion is revoked.
   system.router().sequence_guard().revoke_before(p.node_id(), fresh.sq);
-  const auto first = system.router().route(owner, fresh, payload,
-                                           net::MessageKind::kControl);
-  if (!first.delivered) return false;
+  if (!routed(fresh)) return false;
   // The attacker replays a captured pre-refresh onion.
-  const auto replay = system.router().route(owner, stale, payload,
-                                            net::MessageKind::kControl);
-  return replay.delivered;
+  return routed(stale);
 }
 
 std::vector<std::vector<core::AgentEntry>> hostile_recommendations(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "hirep/protocol.hpp"
+
 namespace hirep::core {
 namespace {
 
@@ -73,8 +75,8 @@ TEST(Peer, SequenceNumbersNonDecreasing) {
   const auto a = peer.next_sq();
   const auto b = peer.next_sq();
   EXPECT_GT(b, a);
-  const auto onion1 = peer.issue_onion(rng);
-  const auto onion2 = peer.issue_onion(rng);
+  const auto onion1 = peer.issue_onion(rng, real_cipher_suite());
+  const auto onion2 = peer.issue_onion(rng, real_cipher_suite());
   EXPECT_GT(onion2.sq, onion1.sq);
 }
 
@@ -92,7 +94,7 @@ TEST(Peer, IssuedOnionVerifies) {
   util::Rng rng(5);
   const auto identity = crypto::Identity::generate(rng, 128);
   Peer peer(&identity, 4, params());
-  const auto onion = peer.issue_onion(rng);
+  const auto onion = peer.issue_onion(rng, real_cipher_suite());
   EXPECT_TRUE(onion::verify_onion(onion));
   EXPECT_EQ(onion.owner_sig_key, identity.signature_public());
   EXPECT_EQ(onion.entry, 4u);  // no relays: owner is the entry

@@ -1,7 +1,13 @@
 // kFast must be a faithful accounting model of kFull: identical message
 // structure per protocol action (the random streams differ, so exact
-// transcripts cannot be compared — the invariants are structural).
+// transcripts cannot be compared — the invariants are structural).  Both
+// modes run one protocol behind the cipher seam, so they also react to
+// lossy, slow and retried delivery in the same way.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <utility>
+#include <vector>
 
 #include "hirep/system.hpp"
 
@@ -27,6 +33,84 @@ TEST_P(ModeSweep, KeyExchangeBootstrapCostIsNodesTimesRelaysTimesFour) {
   HirepSystem sys(o);
   EXPECT_EQ(sys.overlay().metrics().of(net::MessageKind::kKeyExchange),
             o.nodes * o.onion_relays * 4);
+  // Every handshake message is an envelope in the transport's ledger.
+  EXPECT_EQ(sys.transport().envelopes().of(net::EnvelopeType::kKeyExchange).sent,
+            o.nodes * o.onion_relays * 4);
+}
+
+TEST_P(ModeSweep, LateReportsStillReachEveryAgent) {
+  // A report needs no answer, so a copy that lands after the reporter's
+  // deadline still counts at its agent.  The query runs under instant
+  // delivery; the reports then travel with link latency, far past 0.5 ms.
+  auto o = options(GetParam());
+  o.reliable.timeout_ms = 0.5;
+  HirepSystem sys(o);
+  const net::NodeIndex requestor = 0;
+  const net::NodeIndex provider = 10;
+  const auto query = sys.query_trust(requestor, provider);
+  const crypto::NodeId subject = sys.identities()[provider].node_id();
+  std::vector<std::pair<const ReputationAgent*, std::size_t>> before;
+  for (const auto& entry : sys.peer(requestor).agents().entries()) {
+    const ReputationAgent* agent = sys.agent_at(*sys.ip_of(entry.agent_id));
+    before.emplace_back(agent, agent->report_count(subject));
+  }
+  ASSERT_FALSE(before.empty());
+  sys.transport().set_policy(
+      std::make_unique<net::LatencyDelivery>(&sys.overlay().latency()));
+  sys.complete_transaction(requestor, provider, query);
+  for (const auto& [agent, count] : before) {
+    EXPECT_GT(agent->report_count(subject), count);
+  }
+}
+
+TEST_P(ModeSweep, LateKeyRotationStillMigratesEveryAgent) {
+  // Likewise a key-rotation announcement that lands after the deadline
+  // still moves the peer's entry to its new nodeId at every agent.
+  auto o = options(GetParam());
+  o.reliable.timeout_ms = 0.5;
+  HirepSystem sys(o);
+  const net::NodeIndex peer = 0;
+  sys.query_trust(peer, 10);  // registers the peer's key at its agents
+  std::vector<const ReputationAgent*> agents;
+  for (const auto& entry : sys.peer(peer).agents().entries()) {
+    agents.push_back(sys.agent_at(*sys.ip_of(entry.agent_id)));
+  }
+  ASSERT_FALSE(agents.empty());
+  sys.transport().set_policy(
+      std::make_unique<net::LatencyDelivery>(&sys.overlay().latency()));
+  const crypto::NodeId new_id = sys.rotate_peer_key(peer);
+  for (const ReputationAgent* agent : agents) {
+    EXPECT_TRUE(agent->lookup_key(new_id).has_value());
+  }
+}
+
+TEST_P(ModeSweep, FanOutRetriesBackOffOncePerWave) {
+  // Reports and announcements retry as one batch: when every copy is lost,
+  // the clock moves by one backoff per attempt wave (2 ms, then 4 ms),
+  // however many agents the fan-out addresses.
+  auto o = options(GetParam());
+  o.reliable.max_attempts = 3;
+  o.reliable.backoff_ms = 2.0;
+  HirepSystem sys(o);
+  const auto query = sys.query_trust(0, 10);
+  ASSERT_GE(sys.peer(0).agents().size(), 2u);
+  net::FaultParams all_lost;
+  all_lost.drop_rate = 1.0;
+  sys.transport().set_policy(
+      std::make_unique<net::FaultyDelivery>(all_lost, 1));
+  const auto& reports = sys.transport().envelopes().of(net::EnvelopeType::kReport);
+  const auto& rotations =
+      sys.transport().envelopes().of(net::EnvelopeType::kKeyRotation);
+
+  double start = sys.transport().sim().now();
+  sys.complete_transaction(0, 10, query);
+  EXPECT_DOUBLE_EQ(sys.transport().sim().now() - start, 6.0);
+  EXPECT_EQ(reports.sent, 3 * sys.peer(0).agents().size());
+
+  start = sys.transport().sim().now();
+  sys.rotate_peer_key(0);
+  EXPECT_DOUBLE_EQ(sys.transport().sim().now() - start, 6.0);
+  EXPECT_EQ(rotations.sent, 3 * sys.peer(0).agents().size());
 }
 
 TEST_P(ModeSweep, PerTransactionCostIsThreeLegsPerResponder) {
@@ -75,6 +159,31 @@ TEST(CryptoModeEquivalence, SameWorldSameTopologyAcrossModes) {
     EXPECT_EQ(fast.overlay().graph().degree(v), full.overlay().graph().degree(v));
   }
   EXPECT_EQ(fast.agent_count(), full.agent_count());
+}
+
+TEST(CryptoModeEquivalence, LossyHandshakesMatchAcrossModes) {
+  // Handshakes ride the transport in both modes, so a faulty link loses
+  // the same handshake messages whether or not they carry real bytes.
+  const auto lossy = [](CryptoMode mode) {
+    auto o = options(mode, 31);
+    o.delivery.policy = net::DeliveryPolicyKind::kFaulty;
+    o.delivery.faults.drop_rate = 0.2;
+    return o;
+  };
+  HirepSystem fast(lossy(CryptoMode::kFast));
+  HirepSystem full(lossy(CryptoMode::kFull));
+  std::size_t verified = 0;
+  for (net::NodeIndex v = 0; v < 64; ++v) {
+    EXPECT_EQ(fast.peer(v).relays().size(), full.peer(v).relays().size())
+        << "peer " << v;
+    verified += full.peer(v).relays().size();
+  }
+  EXPECT_LT(verified, 64u * 3u);  // the faults did cost relays
+  const auto& f = fast.transport().envelopes().of(net::EnvelopeType::kKeyExchange);
+  const auto& g = full.transport().envelopes().of(net::EnvelopeType::kKeyExchange);
+  EXPECT_EQ(f.sent, g.sent);
+  EXPECT_EQ(f.dropped, g.dropped);
+  EXPECT_GT(g.dropped, 0u);
 }
 
 }  // namespace

@@ -23,8 +23,7 @@ TEST(Fuzz, DeserializersSurviveRandomGarbage) {
     const auto junk = random_bytes(rng, rng.below(200));
     // None of these may throw; all should reject (or, astronomically
     // unlikely, parse into a syntactically valid but useless object).
-    EXPECT_NO_THROW(core::TrustValueRequest::deserialize(junk));
-    EXPECT_NO_THROW(core::TrustValueResponse::deserialize(junk));
+    EXPECT_NO_THROW(core::SealedMessage::deserialize(junk));
     EXPECT_NO_THROW(core::TransactionReport::deserialize(junk));
     EXPECT_NO_THROW(onion::Onion::deserialize(junk));
     EXPECT_NO_THROW(crypto::Identity::RotationAnnouncement::deserialize(junk));
@@ -36,14 +35,21 @@ TEST(Fuzz, TruncationsOfValidMessagesRejected) {
   const auto peer = crypto::Identity::generate(rng, 64);
   const auto agent = crypto::Identity::generate(rng, 64);
   const auto onion = onion::build_onion(rng, peer, 3, {}, 1);
-  const auto req = core::build_trust_request(
-      rng, agent.signature_public(), peer, agent.node_id(), 7, onion);
-  const auto wire = req.serialize();
+  core::TrustQuery query;
+  query.subject = agent.node_id();
+  query.nonce = 7;
+  query.sp_p = peer.signature_public();
+  query.reply_onion = onion;
+  const auto& suite = core::real_cipher_suite();
+  const auto wire = suite.seal_query(rng, agent.signature_public(), query);
   for (std::size_t len = 0; len < wire.size(); ++len) {
     const util::Bytes cut(wire.begin(),
                           wire.begin() + static_cast<std::ptrdiff_t>(len));
-    const auto parsed = core::TrustValueRequest::deserialize(cut);
+    const auto parsed = core::SealedMessage::deserialize(cut);
     EXPECT_FALSE(parsed.has_value()) << "accepted truncation at " << len;
+    core::TrustQuery read;
+    EXPECT_FALSE(suite.open_query(agent, cut, read))
+        << "opened truncation at " << len;
   }
 }
 

@@ -128,6 +128,32 @@ TEST(ReliableDeadline, LateDeliveryFailsTheRequestButStillApplies) {
   EXPECT_EQ(channel.stats().gave_up, 1u);
 }
 
+TEST(ReliableDeadline, LateCopyKeepsItsPayload) {
+  // A late copy still takes effect at the destination, so the caller gets
+  // the bytes that landed there (reports and announcements act on them).
+  Overlay overlay = make_overlay();
+  DeliveryConfig config;
+  config.policy = DeliveryPolicyKind::kLatency;
+  Transport transport(&overlay, config, 1);
+  ReliablePolicy policy;
+  policy.timeout_ms = 1e-6;
+  ReliableChannel channel(&transport, policy, 5);
+  const util::Bytes payload{0x51, 0x52};
+  const std::vector<NodeIndex> path{1, 2};
+  const auto single =
+      channel.request(EnvelopeType::kReport, 0, path, payload);
+  EXPECT_FALSE(single.ok);
+  EXPECT_TRUE(single.applied);
+  EXPECT_EQ(single.destination, 2u);
+  EXPECT_EQ(single.payload, payload);
+  const ReliableChannel::BatchRequest requests[] = {
+      {.sender = 0, .path = &path, .payload = payload}};
+  const auto batched = channel.request_batch(EnvelopeType::kReport, requests);
+  EXPECT_FALSE(batched[0].ok);
+  EXPECT_TRUE(batched[0].applied);
+  EXPECT_EQ(batched[0].payload, payload);
+}
+
 TEST(ReliableBackoff, ExponentialScheduleIsExactOnTheSimClock) {
   // drop=1 forces every attempt to fail; with backoff 2ms and no jitter the
   // waits before attempts 2, 3, 4 are 2, 4, 8 ms — the clock must land on

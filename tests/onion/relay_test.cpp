@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/topology.hpp"
+#include "net/transport.hpp"
 
 namespace hirep::onion {
 namespace {
@@ -12,17 +13,19 @@ struct RelayFixture : ::testing::Test {
       : rng(1),
         requestor(crypto::Identity::generate(rng, 128)),
         relay_identity(crypto::Identity::generate(rng, 128)),
-        overlay(net::ring_lattice(8, 1), net::LatencyParams{}, 1) {}
+        overlay(net::ring_lattice(8, 1), net::LatencyParams{}, 1),
+        transport(&overlay, net::DeliveryConfig{}, 1) {}
 
   util::Rng rng;
   crypto::Identity requestor;
   crypto::Identity relay_identity;
   net::Overlay overlay;
+  net::Transport transport;
 };
 
 TEST_F(RelayFixture, HonestHandshakeSucceeds) {
   HonestRelay relay(3, &relay_identity);
-  const auto info = fetch_anonymity_key(overlay, rng, requestor, 0, relay);
+  const auto info = fetch_anonymity_key(transport, rng, requestor, 0, relay);
   ASSERT_TRUE(info.has_value());
   EXPECT_EQ(info->ip, 3u);
   EXPECT_EQ(info->anonymity_key, relay_identity.anonymity_public());
@@ -30,8 +33,28 @@ TEST_F(RelayFixture, HonestHandshakeSucceeds) {
 
 TEST_F(RelayFixture, HandshakeCountsFourMessages) {
   HonestRelay relay(3, &relay_identity);
-  fetch_anonymity_key(overlay, rng, requestor, 0, relay);
+  fetch_anonymity_key(transport, rng, requestor, 0, relay);
   EXPECT_EQ(overlay.metrics().of(net::MessageKind::kKeyExchange), 4u);
+  // Four kKeyExchange envelopes, each carrying its real bytes.
+  const auto& sent = transport.envelopes().of(net::EnvelopeType::kKeyExchange);
+  EXPECT_EQ(sent.sent, 4u);
+  EXPECT_EQ(sent.delivered, 4u);
+  EXPECT_GT(sent.payload_bytes_delivered, 0u);
+}
+
+TEST_F(RelayFixture, LostHandshakeMessageFailsVerification) {
+  // Every hop dropped: the request never reaches the relay, so no key is
+  // taken and nothing after step 1 is sent.
+  net::DeliveryConfig lossy;
+  lossy.policy = net::DeliveryPolicyKind::kFaulty;
+  lossy.faults.drop_rate = 1.0;
+  net::Transport dropping(&overlay, lossy, 5);
+  HonestRelay relay(3, &relay_identity);
+  EXPECT_FALSE(
+      fetch_anonymity_key(dropping, rng, requestor, 0, relay).has_value());
+  const auto& sent = dropping.envelopes().of(net::EnvelopeType::kKeyExchange);
+  EXPECT_EQ(sent.sent, 1u);
+  EXPECT_EQ(sent.dropped, 1u);
 }
 
 // A relay that substitutes a key it does not control: it answers the key
@@ -73,7 +96,7 @@ class SubstitutingRelay final : public RelayEndpoint {
 TEST_F(RelayFixture, SubstitutedKeyRejected) {
   auto claimed = crypto::Identity::generate(rng, 128);
   SubstitutingRelay relay(3, &claimed, &relay_identity);
-  const auto info = fetch_anonymity_key(overlay, rng, requestor, 0, relay);
+  const auto info = fetch_anonymity_key(transport, rng, requestor, 0, relay);
   EXPECT_FALSE(info.has_value());
 }
 
@@ -108,7 +131,7 @@ class RedirectingRelay final : public RelayEndpoint {
 
 TEST_F(RelayFixture, AddressMismatchRejectedBeforeVerification) {
   RedirectingRelay relay(3, &relay_identity);
-  EXPECT_FALSE(fetch_anonymity_key(overlay, rng, requestor, 0, relay).has_value());
+  EXPECT_FALSE(fetch_anonymity_key(transport, rng, requestor, 0, relay).has_value());
 }
 
 // A relay that replays a previous confirmation (wrong nonce).
@@ -145,13 +168,13 @@ class ReplayingRelay final : public RelayEndpoint {
 
 TEST_F(RelayFixture, WrongNonceConfirmationRejected) {
   ReplayingRelay relay(3, &relay_identity);
-  EXPECT_FALSE(fetch_anonymity_key(overlay, rng, requestor, 0, relay).has_value());
+  EXPECT_FALSE(fetch_anonymity_key(transport, rng, requestor, 0, relay).has_value());
 }
 
 TEST_F(RelayFixture, SequentialHandshakesIndependent) {
   HonestRelay relay(3, &relay_identity);
-  ASSERT_TRUE(fetch_anonymity_key(overlay, rng, requestor, 0, relay).has_value());
-  ASSERT_TRUE(fetch_anonymity_key(overlay, rng, requestor, 0, relay).has_value());
+  ASSERT_TRUE(fetch_anonymity_key(transport, rng, requestor, 0, relay).has_value());
+  ASSERT_TRUE(fetch_anonymity_key(transport, rng, requestor, 0, relay).has_value());
 }
 
 }  // namespace

@@ -3,17 +3,20 @@
 #include <gtest/gtest.h>
 
 #include "net/topology.hpp"
+#include "net/transport.hpp"
 
 namespace hirep::onion {
 namespace {
 
 struct RouterFixture : ::testing::Test {
   RouterFixture()
-      : rng(3), overlay(net::ring_lattice(8, 1), net::LatencyParams{}, 1) {
+      : rng(3),
+        overlay(net::ring_lattice(8, 1), net::LatencyParams{}, 1),
+        transport(&overlay, net::DeliveryConfig{}, 1) {
     for (int i = 0; i < 8; ++i) {
       identities.push_back(crypto::Identity::generate(rng, 128));
     }
-    router = std::make_unique<Router>(&overlay, &identities);
+    router = std::make_unique<Router>(&identities);
   }
 
   std::vector<RelayInfo> relay_infos(std::initializer_list<net::NodeIndex> ips) {
@@ -22,8 +25,18 @@ struct RouterFixture : ::testing::Test {
     return out;
   }
 
+  /// Sends `payload` from node 0 over `onion` the way the system does: the
+  /// router peels the hop path, the transport carries the payload along it.
+  net::DeliveryReceipt route(const Onion& onion, util::Bytes payload = {}) {
+    const auto path = router->peel_path(onion);
+    if (!path) return {};
+    return transport.send(net::EnvelopeType::kProbe, 0, *path,
+                          std::move(payload));
+  }
+
   util::Rng rng;
   net::Overlay overlay;
+  net::Transport transport;
   std::vector<crypto::Identity> identities;
   std::unique_ptr<Router> router;
 };
@@ -31,8 +44,10 @@ struct RouterFixture : ::testing::Test {
 TEST_F(RouterFixture, DeliversThroughRelays) {
   // Owner 5, relays 1 (adjacent) then 2 then 3 (entry).
   const auto onion = build_onion(rng, identities[5], 5, relay_infos({1, 2, 3}), 1);
+  EXPECT_EQ(router->peel_path(onion),
+            (std::vector<net::NodeIndex>{3, 2, 1, 5}));
   const util::Bytes payload{0xaa, 0xbb};
-  const auto result = router->route(0, onion, payload, net::MessageKind::kControl);
+  const auto result = route(onion, payload);
   EXPECT_TRUE(result.delivered);
   EXPECT_EQ(result.destination, 5u);
   EXPECT_EQ(result.hops, 4u);  // sender->3->2->1->5
@@ -42,7 +57,8 @@ TEST_F(RouterFixture, DeliversThroughRelays) {
 
 TEST_F(RouterFixture, ZeroRelayOnionDeliversDirect) {
   const auto onion = build_onion(rng, identities[5], 5, {}, 1);
-  const auto result = router->route(0, onion, {}, net::MessageKind::kControl);
+  EXPECT_EQ(router->peel_path(onion), (std::vector<net::NodeIndex>{5}));
+  const auto result = route(onion);
   EXPECT_TRUE(result.delivered);
   EXPECT_EQ(result.hops, 1u);
 }
@@ -50,8 +66,8 @@ TEST_F(RouterFixture, ZeroRelayOnionDeliversDirect) {
 TEST_F(RouterFixture, BadSignatureRejectedWithoutTraffic) {
   auto onion = build_onion(rng, identities[5], 5, relay_infos({1, 2}), 1);
   onion.blob[0] ^= 1;
-  const auto result = router->route(0, onion, {}, net::MessageKind::kControl);
-  EXPECT_FALSE(result.delivered);
+  EXPECT_FALSE(router->peel_path(onion).has_value());
+  EXPECT_FALSE(route(onion).delivered);
   EXPECT_EQ(overlay.metrics().total(), 0u);
 }
 
@@ -59,8 +75,8 @@ TEST_F(RouterFixture, DifferentAgesRouteUntilRevocation) {
   // Two holders with onions of different ages: both route.
   const auto older = build_onion(rng, identities[5], 5, relay_infos({1}), 1);
   const auto newer = build_onion(rng, identities[5], 5, relay_infos({2}), 2);
-  EXPECT_TRUE(router->route(0, newer, {}, net::MessageKind::kControl).delivered);
-  EXPECT_TRUE(router->route(0, older, {}, net::MessageKind::kControl).delivered);
+  EXPECT_TRUE(route(newer).delivered);
+  EXPECT_TRUE(route(older).delivered);
 }
 
 TEST_F(RouterFixture, RevokedSequenceRejected) {
@@ -68,30 +84,21 @@ TEST_F(RouterFixture, RevokedSequenceRejected) {
   const auto fresh = build_onion(rng, identities[5], 5, relay_infos({2}), 2);
   // The owner refreshes its onions and revokes everything older.
   router->sequence_guard().revoke_before(identities[5].node_id(), 2);
-  EXPECT_TRUE(router->route(0, fresh, {}, net::MessageKind::kControl).delivered);
-  EXPECT_FALSE(router->route(0, stale, {}, net::MessageKind::kControl).delivered);
+  EXPECT_TRUE(route(fresh).delivered);
+  EXPECT_FALSE(route(stale).delivered);
 }
 
 TEST_F(RouterFixture, EqualSequenceStillRoutes) {
   const auto a = build_onion(rng, identities[5], 5, relay_infos({1}), 7);
-  EXPECT_TRUE(router->route(0, a, {}, net::MessageKind::kControl).delivered);
-  EXPECT_TRUE(router->route(0, a, {}, net::MessageKind::kControl).delivered);
-}
-
-TEST_F(RouterFixture, TimedRouteProducesIncreasingCompletion) {
-  const auto onion = build_onion(rng, identities[6], 6, relay_infos({1, 2, 3}), 1);
-  const auto result =
-      router->route_timed(10.0, 0, onion, {}, net::MessageKind::kControl);
-  EXPECT_TRUE(result.delivered);
-  // 4 hops, each >= 10ms link + 1ms processing, starting at t=10.
-  EXPECT_GE(result.completion_ms, 10.0 + 4 * 11.0 - 1e9 * 0);
+  EXPECT_TRUE(route(a).delivered);
+  EXPECT_TRUE(route(a).delivered);
 }
 
 TEST_F(RouterFixture, RouteWithForeignGuardOwnersIndependent) {
   const auto a = build_onion(rng, identities[4], 4, relay_infos({1}), 1);
   const auto b = build_onion(rng, identities[5], 5, relay_infos({2}), 1);
-  EXPECT_TRUE(router->route(0, a, {}, net::MessageKind::kControl).delivered);
-  EXPECT_TRUE(router->route(0, b, {}, net::MessageKind::kControl).delivered);
+  EXPECT_TRUE(route(a).delivered);
+  EXPECT_TRUE(route(b).delivered);
 }
 
 TEST(PickRelayIps, ExcludesOwnerAndDuplicates) {
