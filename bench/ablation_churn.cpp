@@ -26,9 +26,20 @@ ChurnOutcome run_with_churn(const hirep::sim::Params& params, double churn,
 
   // Track every agent node so we can toggle it.
   const auto agents = system.truth().agent_capable_nodes();
-  const auto discovery_before =
-      system.overlay().metrics().of(net::MessageKind::kAgentDiscovery) +
-      system.overlay().metrics().of(net::MessageKind::kControl);
+  // Maintenance traffic: discovery walks and replies, backup-cache probes
+  // and key-rotation announcements.
+  const auto maintenance_messages = [&system] {
+    const auto& ledger = system.transport().envelopes();
+    std::uint64_t sum = 0;
+    for (const auto type : {net::EnvelopeType::kAgentListRequest,
+                            net::EnvelopeType::kAgentListReply,
+                            net::EnvelopeType::kProbe,
+                            net::EnvelopeType::kKeyRotation}) {
+      sum += ledger.of(type).hop_messages;
+    }
+    return sum;
+  };
+  const auto discovery_before = maintenance_messages();
 
   util::MseAccumulator mse;
   const std::size_t txns = params.transactions;
@@ -51,9 +62,7 @@ ChurnOutcome run_with_churn(const hirep::sim::Params& params, double churn,
     const auto rec = system.run_transaction(requestor, provider);
     if (t >= txns / 2) mse.add(rec.estimate, rec.truth_value);
   }
-  const auto discovery_after =
-      system.overlay().metrics().of(net::MessageKind::kAgentDiscovery) +
-      system.overlay().metrics().of(net::MessageKind::kControl);
+  const auto discovery_after = maintenance_messages();
   return {mse.mse(), static_cast<double>(discovery_after - discovery_before) /
                          static_cast<double>(txns)};
 }

@@ -35,9 +35,11 @@ int main(int argc, char** argv) {
             }
           }
           const auto n = static_cast<double>(system.node_count());
-          const double msgs =
-              static_cast<double>(system.overlay().metrics().of(
-                  net::MessageKind::kAgentDiscovery)) / n;
+          const auto& ledger = system.transport().envelopes();
+          const std::uint64_t discovery =
+              ledger.of(net::EnvelopeType::kAgentListRequest).hop_messages +
+              ledger.of(net::EnvelopeType::kAgentListReply).hop_messages;
+          const double msgs = static_cast<double>(discovery) / n;
           fills.push_back(fill / n / static_cast<double>(p.trusted_agents));
           qualities.push_back(rated > 0 ? honest / rated : 0.0);
           table.add_row({static_cast<std::int64_t>(tokens), fills.back(),

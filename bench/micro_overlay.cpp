@@ -1,10 +1,12 @@
 // Micro-benchmarks for the overlay substrate: topology generation,
-// flooding, token walks, the event queue, and the queueing model.
+// flooding and token walks over an instant transport, the event queue, and
+// the queueing model.
 #include <benchmark/benchmark.h>
 
 #include "net/event_sim.hpp"
 #include "net/flood.hpp"
 #include "net/topology.hpp"
+#include "net/transport.hpp"
 
 namespace {
 
@@ -22,10 +24,11 @@ BENCHMARK(BM_PowerLawGeneration)->Arg(1000)->Arg(10000)->Unit(benchmark::kMillis
 void BM_Flood(benchmark::State& state) {
   util::Rng rng(2);
   net::Overlay overlay(net::power_law(rng, 2000, 4.0), net::LatencyParams{}, 1);
+  net::Transport transport(&overlay, net::DeliveryConfig{}, 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        net::flood(overlay, 0, static_cast<std::uint32_t>(state.range(0)),
-                   net::MessageKind::kQuery));
+        net::flood(transport, 0, static_cast<std::uint32_t>(state.range(0)),
+                   net::EnvelopeType::kQuery));
   }
 }
 BENCHMARK(BM_Flood)->Arg(2)->Arg(4)->Arg(7);
@@ -36,7 +39,7 @@ void BM_TimedFlood(benchmark::State& state) {
   for (auto _ : state) {
     overlay.reset_time_state();
     benchmark::DoNotOptimize(
-        net::timed_flood(overlay, 0, 4, 0.0, net::MessageKind::kQuery));
+        net::timed_flood(overlay, 0, 4, 0.0));
   }
 }
 BENCHMARK(BM_TimedFlood)->Unit(benchmark::kMicrosecond);
@@ -44,11 +47,11 @@ BENCHMARK(BM_TimedFlood)->Unit(benchmark::kMicrosecond);
 void BM_TokenWalk(benchmark::State& state) {
   util::Rng rng(4);
   net::Overlay overlay(net::power_law(rng, 1000, 4.0), net::LatencyParams{}, 1);
+  net::Transport transport(&overlay, net::DeliveryConfig{}, 1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(net::token_walk(
-        overlay, rng, 0, static_cast<std::uint32_t>(state.range(0)), 7,
-        [](net::NodeIndex v) { return v % 3 == 0; },
-        net::MessageKind::kAgentDiscovery));
+        transport, rng, 0, static_cast<std::uint32_t>(state.range(0)), 7,
+        [](net::NodeIndex v) { return v % 3 == 0; }));
   }
 }
 BENCHMARK(BM_TokenWalk)->Arg(5)->Arg(10)->Arg(50);
@@ -79,7 +82,7 @@ void BM_TimedSend(benchmark::State& state) {
   net::Overlay overlay(net::power_law(rng, 500, 4.0), net::LatencyParams{}, 1);
   double t = 0.0;
   for (auto _ : state) {
-    t = overlay.timed_send(t, 0, 1, net::MessageKind::kControl);
+    t = overlay.timed_send(t, 0, 1);
     benchmark::DoNotOptimize(t);
   }
 }

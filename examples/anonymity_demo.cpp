@@ -107,6 +107,6 @@ int main(int argc, char** argv) {
             << (replay.delivered ? "DELIVERED (bad!)" : "rejected (stale sq)")
             << '\n';
 
-  std::cout << "\nTraffic: " << overlay.metrics().summary() << '\n';
+  std::cout << "\nTraffic: " << transport.envelopes().summary() << '\n';
   return routed.delivered && !replay.delivered ? 0 : 1;
 }

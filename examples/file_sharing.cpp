@@ -50,6 +50,7 @@ Outcome run_without_reputation(std::size_t nodes, std::size_t downloads,
   trust::GroundTruth truth(rng, wp);
   net::Overlay overlay(net::power_law(rng, nodes, 4.0), net::LatencyParams{},
                        seed);
+  net::Transport transport(&overlay, net::DeliveryConfig{}, seed);
   gnutella::ContentCatalog catalog(rng, nodes, catalog_params());
 
   std::size_t polluted = 0, found = 0;
@@ -57,7 +58,7 @@ Outcome run_without_reputation(std::size_t nodes, std::size_t downloads,
   for (std::size_t d = 0; d < downloads; ++d) {
     const auto requestor = static_cast<net::NodeIndex>(rng.below(nodes));
     const auto file = catalog.sample_request(rng);
-    const auto result = gnutella::search(overlay, catalog, requestor, file,
+    const auto result = gnutella::search(transport, catalog, requestor, file,
                                          kQueryTtl);
     search_msgs += result.query_messages + result.hit_messages;
     if (!result.found()) continue;
@@ -87,8 +88,8 @@ Outcome run_with_voting(std::size_t nodes, std::size_t downloads,
     const auto requestor =
         static_cast<net::NodeIndex>(system.rng().below(nodes));
     const auto file = catalog.sample_request(system.rng());
-    const auto result = gnutella::search(system.overlay(), catalog, requestor,
-                                         file, kQueryTtl);
+    const auto result = gnutella::search(system.transport(), catalog,
+                                         requestor, file, kQueryTtl);
     search_msgs += result.query_messages + result.hit_messages;
     if (!result.found()) continue;
     double best = -1.0;

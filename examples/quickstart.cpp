@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
             << static_cast<double>(system.trust_message_total()) /
                    static_cast<double>(txns)
             << "/transaction — O(c), never a flood)\n";
-  std::cout << "\nTraffic breakdown: " << system.overlay().metrics().summary()
-            << '\n';
+  std::cout << "\nTraffic breakdown: "
+            << system.transport().envelopes().summary() << '\n';
   return 0;
 }

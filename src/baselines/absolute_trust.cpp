@@ -18,7 +18,7 @@ TransactionRecord AbsoluteTrustSystem::run_transaction(
   TransactionRecord record;
   record.requestor = requestor;
   record.provider = provider;
-  const std::uint64_t before = overlay_.metrics().total();
+  const std::uint64_t before = transport_.envelopes().total_hop_messages();
 
   // Trust-state exchange with the neighborhood: one request out to every
   // neighbor, one response back.  This is the per-transaction message cost
@@ -34,7 +34,7 @@ TransactionRecord AbsoluteTrustSystem::run_transaction(
 
   record.estimate = global_trust(provider);
   record.truth_value = truth_.true_trust(provider);
-  record.trust_messages = overlay_.metrics().total() - before;
+  record.trust_messages = transport_.envelopes().total_hop_messages() - before;
 
   // Transact, then file the opinion the requestor *claims* — recruited
   // ring members / front peers falsify through reported_outcome.

@@ -30,7 +30,7 @@ TransactionRecord DifferentialGossipSystem::run_transaction(
   record.provider = provider;
   record.estimate = estimate_at(requestor, provider);
   record.truth_value = truth_.true_trust(provider);
-  const std::uint64_t before = overlay_.metrics().total();
+  const std::uint64_t before = transport_.envelopes().total_hop_messages();
 
   // Transact, then inject the claimed outcome as fresh opinion mass at the
   // requestor — recruited ring members / front peers falsify through
@@ -47,7 +47,7 @@ TransactionRecord DifferentialGossipSystem::run_transaction(
   for (std::size_t r = 0; r < options_.gossip_rounds; ++r) {
     gossip_round(provider);
   }
-  record.trust_messages = overlay_.metrics().total() - before;
+  record.trust_messages = transport_.envelopes().total_hop_messages() - before;
   return record;
 }
 

@@ -11,7 +11,7 @@ PureVotingSystem::PureVotingSystem(VotingOptions options)
 PureVotingSystem::PollResult PureVotingSystem::poll(net::NodeIndex requestor,
                                                     net::NodeIndex provider) {
   PollResult result;
-  const std::uint64_t before = overlay_.metrics().total();
+  const std::uint64_t before = transport_.envelopes().total_hop_messages();
   const auto flood = net::flood(transport_, requestor, options_.ttl,
                                 net::EnvelopeType::kVotePoll);
   const auto parent = flood.parents_by_node(overlay_.node_count());
@@ -58,7 +58,7 @@ PureVotingSystem::PollResult PureVotingSystem::poll(net::NodeIndex requestor,
   result.estimate = result.votes
                         ? sum / static_cast<double>(result.votes)
                         : 0.5;
-  result.messages = overlay_.metrics().total() - before;
+  result.messages = transport_.envelopes().total_hop_messages() - before;
   return result;
 }
 
@@ -66,8 +66,8 @@ PureVotingSystem::TimedPoll PureVotingSystem::poll_timed(
     net::NodeIndex requestor, net::NodeIndex provider) {
   TimedPoll result;
   overlay_.reset_time_state();
-  const auto arrivals = net::timed_flood(overlay_, requestor, options_.ttl, 0.0,
-                                         net::MessageKind::kTrustRequest);
+  const auto arrivals =
+      net::timed_flood(overlay_, requestor, options_.ttl, 0.0);
 
   // Reconstruct reverse paths from the BFS-tree parents.
   std::vector<net::NodeIndex> parent(overlay_.node_count(), net::kInvalidNode);
@@ -85,7 +85,7 @@ PureVotingSystem::TimedPoll PureVotingSystem::poll_timed(
     net::NodeIndex at = a.node;
     while (at != requestor) {
       const net::NodeIndex up = at == a.node ? a.parent : parent[at];
-      t = overlay_.timed_send(t, at, up, net::MessageKind::kTrustResponse);
+      t = overlay_.timed_send(t, at, up);
       at = up;
     }
     last = std::max(last, t);

@@ -4,9 +4,8 @@
 
 namespace hirep::baselines {
 
-// The transport is idle (see RcaOptions), so it shares the overlay's salt.
 RcaSystem::RcaSystem(RcaOptions options)
-    : World(options, 0x5ca1ab1eULL, 0x5ca1ab1eULL),
+    : World(options, 0x5ca1ab1eULL, 0x7e1eca57ULL),
       options_(std::move(options)),
       model_factory_(trust::model_factory_by_name(options_.model)) {}
 
@@ -21,12 +20,19 @@ TransactionRecord RcaSystem::run_transaction(net::NodeIndex requestor,
   record.requestor = requestor;
   record.provider = provider;
   record.truth_value = truth_.true_trust(provider);
-  const std::uint64_t before = overlay_.metrics().total();
+  const std::uint64_t before = transport_.envelopes().total_hop_messages();
+  // Every message is one hop between a peer and the RCA.
+  const net::NodeIndex rca = options_.rca_node;
+  const auto delivered = [&](net::EnvelopeType type, net::NodeIndex from,
+                             net::NodeIndex to) {
+    return transport_.send(type, from, {to}).delivered;
+  };
 
-  if (online_) {
-    // Query + response with the RCA: two point-to-point messages.
-    overlay_.count_send(net::MessageKind::kTrustRequest);
-    overlay_.count_send(net::MessageKind::kTrustResponse);
+  // Query + response with the RCA: two point-to-point messages.  The RCA
+  // answers only a request that reached it.
+  if (online_ &&
+      delivered(net::EnvelopeType::kTrustRequest, requestor, rca) &&
+      delivered(net::EnvelopeType::kTrustResponse, rca, requestor)) {
     const auto it = stores_.find(provider);
     record.estimate = (it != stores_.end() && it->second->observations() > 0)
                           ? it->second->value()
@@ -35,9 +41,8 @@ TransactionRecord RcaSystem::run_transaction(net::NodeIndex requestor,
   }
 
   const double outcome = truth_.transaction_outcome(provider);
-  if (online_) {
+  if (online_ && delivered(net::EnvelopeType::kReport, requestor, rca)) {
     // Signed report to the RCA: one message; the RCA's model updates.
-    overlay_.count_send(net::MessageKind::kReport);
     auto it = stores_.find(provider);
     if (it == stores_.end()) {
       it = stores_.emplace(provider, model_factory_()).first;
@@ -45,7 +50,7 @@ TransactionRecord RcaSystem::run_transaction(net::NodeIndex requestor,
     it->second->record(outcome);
   }
 
-  record.trust_messages = overlay_.metrics().total() - before;
+  record.trust_messages = transport_.envelopes().total_hop_messages() - before;
   return record;
 }
 
@@ -57,12 +62,11 @@ double RcaSystem::timed_query_burst_ms(std::size_t concurrent) {
         static_cast<net::NodeIndex>(rng_.below(options_.nodes));
     if (requestor == options_.rca_node) continue;
     // Request into the RCA's serial queue...
-    const double at_rca = overlay_.timed_send(0.0, requestor, options_.rca_node,
-                                              net::MessageKind::kTrustRequest);
+    const double at_rca =
+        overlay_.timed_send(0.0, requestor, options_.rca_node);
     // ...and the response back out.
-    const double done = overlay_.timed_send(at_rca, options_.rca_node,
-                                            requestor,
-                                            net::MessageKind::kTrustResponse);
+    const double done =
+        overlay_.timed_send(at_rca, options_.rca_node, requestor);
     last = std::max(last, done);
   }
   return last;

@@ -17,8 +17,6 @@
 
 namespace hirep::baselines {
 
-/// `delivery` is ignored: queries and reports are counted point-to-point
-/// sends on the overlay, so the world's transport stays idle.
 struct RcaOptions : trust::WorldOptions {
   net::NodeIndex rca_node = 0;  ///< the dedicated server's overlay seat
   std::string model = "ewma";
@@ -34,8 +32,11 @@ class RcaSystem : public trust::World {
   /// The single point of failure, made explicit.
   void set_rca_online(bool online) noexcept { online_ = online; }
 
-  /// One query between random_pair() peers; `responses` is 1 when the
-  /// RCA replied and 0 when it was down.
+  /// One query between random_pair() peers.  The request, the response
+  /// and the report are one-hop envelopes between the peer and the RCA,
+  /// under the world's delivery policy; `responses` is 1 when the reply
+  /// reached the requestor, and 0 when the RCA was down or a message was
+  /// lost.  A lost report is not stored.
   TransactionRecord run_transaction();
   TransactionRecord run_transaction(net::NodeIndex requestor,
                                     net::NodeIndex provider);
@@ -43,7 +44,7 @@ class RcaSystem : public trust::World {
   /// Timed query response (ms) under the queueing model; every concurrent
   /// requestor contends for the RCA's serial processing — the bottleneck.
   /// `concurrent` simultaneous queries are issued; returns the LAST
-  /// completion.
+  /// completion.  Sends no envelope.
   double timed_query_burst_ms(std::size_t concurrent);
 
   std::size_t reports_stored() const noexcept { return stores_.size(); }

@@ -47,7 +47,7 @@ TransactionRecord TrustMeSystem::run_transaction(net::NodeIndex requestor,
   record.requestor = requestor;
   record.provider = provider;
   record.truth_value = truth_.true_trust(provider);
-  const std::uint64_t before = overlay_.metrics().total();
+  const std::uint64_t before = transport_.envelopes().total_hop_messages();
 
   // Broadcast #1: the trust query floods the system; the provider's THAs
   // that heard it answer along the reverse path.
@@ -117,7 +117,7 @@ TransactionRecord TrustMeSystem::run_transaction(net::NodeIndex requestor,
     }
   }
 
-  record.trust_messages = overlay_.metrics().total() - before;
+  record.trust_messages = transport_.envelopes().total_hop_messages() - before;
   return record;
 }
 

@@ -22,7 +22,7 @@ FileSharingSession::DownloadRecord FileSharingSession::download(
   const std::uint64_t trust_before = system_->trust_message_total();
 
   // 1. QUERY flood + QUERYHITs.
-  const auto found = search(system_->overlay(), catalog_, requestor, file,
+  const auto found = search(system_->transport(), catalog_, requestor, file,
                             options_.query_ttl);
   record.search_messages = found.query_messages + found.hit_messages;
   if (!found.found()) return record;

@@ -45,8 +45,8 @@ struct CollectedList {
 /// `list_of(node)` returns the list a node would share (empty = it has
 /// none and is not itself an agent → forwards without consuming a token).
 /// Request hops travel as kAgentListRequest envelopes and replies as
-/// kAgentListReply envelopes through `transport` (both counted under
-/// kAgentDiscovery); lossy policies lose token shares and replies.
+/// kAgentListReply envelopes through `transport`, each counted under its
+/// own type; lossy policies lose token shares and replies.
 std::vector<CollectedList> collect_agent_lists(
     net::Transport& transport, util::Rng& rng, net::NodeIndex requestor,
     std::uint32_t tokens, std::uint32_t ttl,

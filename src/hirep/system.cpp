@@ -908,11 +908,10 @@ std::vector<HirepSystem::TransactionRecord> HirepSystem::run_transactions(
 }
 
 std::uint64_t HirepSystem::trust_message_total() const {
-  const auto& m = overlay_.metrics();
-  return m.of(net::MessageKind::kTrustRequest) +
-         m.of(net::MessageKind::kTrustResponse) +
-         m.of(net::MessageKind::kReport) +
-         m.of(net::MessageKind::kOnionRelay);
+  const auto& m = transport_.envelopes();
+  return m.of(net::EnvelopeType::kTrustRequest).hop_messages +
+         m.of(net::EnvelopeType::kTrustResponse).hop_messages +
+         m.of(net::EnvelopeType::kReport).hop_messages;
 }
 
 }  // namespace hirep::core

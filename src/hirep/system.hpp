@@ -221,7 +221,9 @@ class HirepSystem : public trust::World {
                                          net::NodeIndex provider,
                                          const QueryResult& query);
 
-  /// Trust-related message count so far (requests+responses+reports+relay).
+  /// Trust-related message count so far: hop messages of the trust
+  /// request, trust response and report envelopes.  Exact between
+  /// run_transactions() calls (engine lanes fold in at wave barriers).
   std::uint64_t trust_message_total() const;
 
  private:
@@ -277,8 +279,8 @@ class HirepSystem : public trust::World {
     /// delivery only); consumed in issue order by issue_agent_onion.
     const std::vector<std::uint64_t>* reserved_sqs = nullptr;
     std::size_t reserved_cursor = 0;
-    /// Transmissions under kTrustRequest/kTrustResponse/kReport kinds —
-    /// the same buckets trust_message_total() sums globally.
+    /// Transmissions of kTrustRequest/kTrustResponse/kReport envelopes —
+    /// the same types trust_message_total() sums globally.
     std::uint64_t trust_messages = 0;
     /// Engine mode: record that a refill is due instead of running it
     /// inside the wave (it mutates shared discovery state).

@@ -1,6 +1,5 @@
 #include "net/flood.hpp"
 
-#include <deque>
 #include <limits>
 #include <queue>
 
@@ -15,48 +14,6 @@ std::vector<NodeIndex> FloodResult::parents_by_node(
   return by_node;
 }
 
-FloodResult flood(Overlay& overlay, NodeIndex source, std::uint32_t ttl,
-                  MessageKind kind) {
-  const Graph& g = overlay.graph();
-  FloodResult result;
-  if (ttl == 0) return result;
-
-  constexpr auto kUnseen = std::numeric_limits<std::uint32_t>::max();
-  std::vector<std::uint32_t> depth(g.node_count(), kUnseen);
-  depth[source] = 0;
-
-  struct Pending {
-    NodeIndex node;
-    NodeIndex from;
-    std::uint32_t hops;  // hops taken so far
-  };
-  std::deque<Pending> frontier;
-
-  // Source transmits to every neighbor.
-  for (NodeIndex nb : g.neighbors(source)) {
-    ++result.messages;
-    frontier.push_back({nb, source, 1});
-  }
-
-  while (!frontier.empty()) {
-    const Pending p = frontier.front();
-    frontier.pop_front();
-    if (depth[p.node] != kUnseen) continue;  // duplicate copy: counted, dropped
-    depth[p.node] = p.hops;
-    result.reached.push_back(p.node);
-    result.depth.push_back(p.hops);
-    result.parent.push_back(p.from);
-    if (p.hops >= ttl) continue;  // TTL exhausted: no forward
-    for (NodeIndex nb : g.neighbors(p.node)) {
-      if (nb == p.from) continue;
-      ++result.messages;
-      frontier.push_back({nb, p.node, p.hops + 1});
-    }
-  }
-  overlay.count_send(kind, result.messages);
-  return result;
-}
-
 FloodResult flood(Transport& transport, NodeIndex source, std::uint32_t ttl,
                   EnvelopeType type) {
   const Graph& g = transport.overlay().graph();
@@ -68,11 +25,12 @@ FloodResult flood(Transport& transport, NodeIndex source, std::uint32_t ttl,
   depth[source] = 0;
 
   // BFS by rounds over the batched transport: every edge transmission of
-  // one ring of the flood rides in one EnvelopeBatch.  Because the
-  // sequential form's FIFO frontier is strictly round-ordered and a node's
+  // one ring of the flood rides in one EnvelopeBatch.  Because a
+  // sequential FIFO flood's frontier is strictly round-ordered and a node's
   // forwards are emitted in pop order, pushing round r's edges in that
   // same order keeps the delivery-policy stream hop-for-hop identical to
-  // per-envelope sends (pinned by tests/net/transport_batch_test.cpp).
+  // per-envelope sends (pinned by tests/net/transport_batch_test.cpp; the
+  // FIFO reference lives in tests/net/sequential_reference.hpp).
   struct Tx {
     NodeIndex to;
     NodeIndex from;
@@ -113,8 +71,7 @@ FloodResult flood(Transport& transport, NodeIndex source, std::uint32_t ttl,
 }
 
 std::vector<TimedArrival> timed_flood(Overlay& overlay, NodeIndex source,
-                                      std::uint32_t ttl, double start_ms,
-                                      MessageKind kind) {
+                                      std::uint32_t ttl, double start_ms) {
   const Graph& g = overlay.graph();
   std::vector<TimedArrival> arrivals;
   if (ttl == 0) return arrivals;
@@ -137,7 +94,7 @@ std::vector<TimedArrival> timed_flood(Overlay& overlay, NodeIndex source,
   std::priority_queue<Transmission, std::vector<Transmission>, Later> queue;
 
   for (NodeIndex nb : g.neighbors(source)) {
-    const double t = overlay.timed_send(start_ms, source, nb, kind);
+    const double t = overlay.timed_send(start_ms, source, nb);
     queue.push({t, nb, source, 1});
   }
   while (!queue.empty()) {
@@ -149,84 +106,11 @@ std::vector<TimedArrival> timed_flood(Overlay& overlay, NodeIndex source,
     if (tx.hops >= ttl) continue;
     for (NodeIndex nb : g.neighbors(tx.node)) {
       if (nb == tx.from) continue;
-      const double t = overlay.timed_send(tx.handled_ms, tx.node, nb, kind);
+      const double t = overlay.timed_send(tx.handled_ms, tx.node, nb);
       queue.push({t, nb, tx.node, tx.hops + 1});
     }
   }
   return arrivals;
-}
-
-std::vector<TokenVisit> token_walk(Overlay& overlay, util::Rng& rng,
-                                   NodeIndex source, std::uint32_t tokens,
-                                   std::uint32_t ttl,
-                                   const std::function<bool(NodeIndex)>& consumes,
-                                   MessageKind kind) {
-  const Graph& g = overlay.graph();
-  std::vector<TokenVisit> visits;
-  if (tokens == 0 || ttl == 0) return visits;
-
-  std::vector<bool> visited(g.node_count(), false);
-  visited[source] = true;
-
-  struct Pending {
-    NodeIndex node;
-    std::uint32_t tokens;
-    std::uint32_t ttl;
-  };
-  std::deque<Pending> frontier;
-
-  // The source splits its token budget across its neighbors (Figure 4:
-  // requestor R distributes the request with 6 tokens to its neighbors).
-  {
-    std::vector<NodeIndex> nbs;
-    for (NodeIndex nb : g.neighbors(source)) {
-      if (!visited[nb]) nbs.push_back(nb);
-    }
-    rng.shuffle(nbs);
-    std::uint32_t remaining = tokens;
-    for (std::size_t i = 0; i < nbs.size() && remaining > 0; ++i) {
-      // Even split of what is left across the rest.
-      const auto share = static_cast<std::uint32_t>(
-          (remaining + nbs.size() - 1 - i) / (nbs.size() - i));
-      overlay.count_send(kind);
-      frontier.push_back({nbs[i], share, ttl});
-      remaining -= share;
-    }
-  }
-
-  while (!frontier.empty()) {
-    Pending p = frontier.front();
-    frontier.pop_front();
-    if (visited[p.node]) {
-      // A later copy reaches an already-visited node: its tokens are lost
-      // with it (the node will not answer twice) unless it still forwards.
-      continue;
-    }
-    visited[p.node] = true;
-    std::uint32_t remaining = p.tokens;
-    if (consumes(p.node) && remaining > 0) {
-      // One token pays for this node's reply, returned directly to the
-      // requestor (one message).
-      visits.push_back({p.node, 1});
-      overlay.count_send(kind);
-      --remaining;
-    }
-    if (remaining == 0 || p.ttl <= 1) continue;
-    std::vector<NodeIndex> nbs;
-    for (NodeIndex nb : g.neighbors(p.node)) {
-      if (!visited[nb]) nbs.push_back(nb);
-    }
-    if (nbs.empty()) continue;
-    rng.shuffle(nbs);
-    for (std::size_t i = 0; i < nbs.size() && remaining > 0; ++i) {
-      const auto share = static_cast<std::uint32_t>(
-          (remaining + nbs.size() - 1 - i) / (nbs.size() - i));
-      overlay.count_send(kind);
-      frontier.push_back({nbs[i], share, p.ttl - 1});
-      remaining -= share;
-    }
-  }
-  return visits;
 }
 
 std::vector<TokenVisit> token_walk(Transport& transport, util::Rng& rng,
@@ -245,9 +129,9 @@ std::vector<TokenVisit> token_walk(Transport& transport, util::Rng& rng,
   // token shares — then ships every reply and forward of the round in one
   // EnvelopeBatch.  Neither visited[] nor the share arithmetic depends on
   // in-round delivery outcomes, and replies/forwards are planned in
-  // exactly the per-node order the sequential form sent them, so both the
-  // caller's rng stream and the delivery-policy stream are draw-for-draw
-  // identical to per-envelope sends.
+  // exactly the per-node order a sequential FIFO walk sends them, so both
+  // the caller's rng stream and the delivery-policy stream are
+  // draw-for-draw identical to per-envelope sends.
   struct Pending {
     NodeIndex node;
     std::uint32_t tokens;

@@ -1,13 +1,15 @@
 // Gnutella-style TTL-limited flooding (the BFS the paper uses to simulate
-// the pure-voting poll) and the token-limited forwarding used by hiREP's
-// trusted-agent-list request (Figure 4).
+// the pure-voting poll and the content search) and the token-limited
+// forwarding used by hiREP's trusted-agent-list request (Figure 4).  Both
+// travel as typed envelopes through net::Transport, so every transmission
+// lands in its envelope ledger and obeys its delivery policy; timed_flood
+// is the Figure 8 queueing-model probe and counts nothing.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "net/overlay.hpp"
 #include "net/transport.hpp"
 #include "util/rng.hpp"
 
@@ -28,17 +30,12 @@ struct FloodResult {
   std::vector<NodeIndex> parents_by_node(std::size_t node_count) const;
 };
 
-/// Floods from `source` with the given TTL; every transmission is counted
-/// into the overlay metrics under `kind`.  A node forwards only the first
-/// copy it sees, to all neighbors except the sender, while ttl > 0.
-FloodResult flood(Overlay& overlay, NodeIndex source, std::uint32_t ttl,
-                  MessageKind kind);
-
-/// Transport-routed flood: each edge transmission is one single-hop typed
-/// envelope, so the delivery policy can drop/delay/duplicate individual
-/// copies (a dropped copy never reaches its receiver; the node may still be
-/// reached by another copy).  With InstantDelivery this is transmission-for-
-/// transmission identical to the counted flood above.
+/// Floods from `source` with the given TTL.  A node forwards only the
+/// first copy it sees, to all neighbors except the sender, while ttl > 0.
+/// Each edge transmission is one single-hop `type` envelope, so the
+/// delivery policy can drop/delay/duplicate individual copies (a dropped
+/// copy never reaches its receiver; the node may still be reached by
+/// another copy).  With InstantDelivery every copy lands.
 FloodResult flood(Transport& transport, NodeIndex source, std::uint32_t ttl,
                   EnvelopeType type);
 
@@ -53,8 +50,7 @@ struct TimedArrival {
 /// order (a global time-ordered expansion), and each node's serial
 /// processing delays its forwards.  Returns first-copy arrival times.
 std::vector<TimedArrival> timed_flood(Overlay& overlay, NodeIndex source,
-                                      std::uint32_t ttl, double start_ms,
-                                      MessageKind kind);
+                                      std::uint32_t ttl, double start_ms);
 
 struct TokenVisit {
   NodeIndex node;
@@ -66,19 +62,10 @@ struct TokenVisit {
 /// true uses up one token (it answers the request), and remaining tokens
 /// are forwarded to unvisited neighbors (split across them).  Propagation
 /// stops when tokens or TTL run out.  Returns the consuming nodes in visit
-/// order; transmissions are counted under `kind`.
-std::vector<TokenVisit> token_walk(Overlay& overlay, util::Rng& rng,
-                                   NodeIndex source, std::uint32_t tokens,
-                                   std::uint32_t ttl,
-                                   const std::function<bool(NodeIndex)>& consumes,
-                                   MessageKind kind);
-
-/// Transport-routed token walk: request forwards travel as
-/// kAgentListRequest envelopes (a dropped forward loses its token share),
-/// and each consuming node's answer returns to `source` as a
-/// kAgentListReply envelope (a dropped reply consumes the token but never
-/// arrives).  With InstantDelivery this is transmission-for-transmission
-/// identical to the counted walk above.
+/// order.  Request forwards travel as kAgentListRequest envelopes (a
+/// dropped forward loses its token share), and each consuming node's
+/// answer returns to `source` as a kAgentListReply envelope (a dropped
+/// reply consumes the token but never arrives).
 std::vector<TokenVisit> token_walk(Transport& transport, util::Rng& rng,
                                    NodeIndex source, std::uint32_t tokens,
                                    std::uint32_t ttl,

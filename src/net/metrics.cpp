@@ -52,21 +52,6 @@ const EnvelopeRegistryCells& envelope_cells() {
 
 }  // namespace
 
-const char* to_string(MessageKind kind) noexcept {
-  switch (kind) {
-    case MessageKind::kQuery: return "query";
-    case MessageKind::kTrustRequest: return "trust_request";
-    case MessageKind::kTrustResponse: return "trust_response";
-    case MessageKind::kReport: return "report";
-    case MessageKind::kAgentDiscovery: return "agent_discovery";
-    case MessageKind::kOnionRelay: return "onion_relay";
-    case MessageKind::kKeyExchange: return "key_exchange";
-    case MessageKind::kControl: return "control";
-    case MessageKind::kCount: break;
-  }
-  return "?";
-}
-
 const char* to_string(EnvelopeType type) noexcept {
   switch (type) {
     case EnvelopeType::kTrustRequest: return "trust_request";
@@ -79,26 +64,11 @@ const char* to_string(EnvelopeType type) noexcept {
     case EnvelopeType::kProbe: return "probe";
     case EnvelopeType::kVotePoll: return "vote_poll";
     case EnvelopeType::kVoteReturn: return "vote_return";
+    case EnvelopeType::kQuery: return "query";
+    case EnvelopeType::kQueryHit: return "query_hit";
     case EnvelopeType::kCount: break;
   }
   return "?";
-}
-
-MessageKind kind_of(EnvelopeType type) noexcept {
-  switch (type) {
-    case EnvelopeType::kTrustRequest: return MessageKind::kTrustRequest;
-    case EnvelopeType::kTrustResponse: return MessageKind::kTrustResponse;
-    case EnvelopeType::kReport: return MessageKind::kReport;
-    case EnvelopeType::kAgentListRequest: return MessageKind::kAgentDiscovery;
-    case EnvelopeType::kAgentListReply: return MessageKind::kAgentDiscovery;
-    case EnvelopeType::kKeyRotation: return MessageKind::kControl;
-    case EnvelopeType::kKeyExchange: return MessageKind::kKeyExchange;
-    case EnvelopeType::kProbe: return MessageKind::kControl;
-    case EnvelopeType::kVotePoll: return MessageKind::kTrustRequest;
-    case EnvelopeType::kVoteReturn: return MessageKind::kTrustResponse;
-    case EnvelopeType::kCount: break;
-  }
-  return MessageKind::kControl;
 }
 
 void EnvelopeMetrics::count_sent(EnvelopeType type) noexcept {
@@ -216,6 +186,12 @@ std::uint64_t EnvelopeMetrics::total_dropped() const noexcept {
   return sum;
 }
 
+std::uint64_t EnvelopeMetrics::total_hop_messages() const noexcept {
+  std::uint64_t sum = 0;
+  for (const auto& c : counts_) sum += c.hop_messages;
+  return sum;
+}
+
 std::string EnvelopeMetrics::summary() const {
   std::ostringstream out;
   for (std::size_t i = 0; i < counts_.size(); ++i) {
@@ -231,90 +207,6 @@ std::string EnvelopeMetrics::summary() const {
   }
   out << "total_sent=" << total_sent() << " total_delivered="
       << total_delivered() << " total_dropped=" << total_dropped();
-  return out.str();
-}
-
-namespace {
-
-// Stable per-thread shard choice, shared by every TrafficMetrics instance.
-std::size_t traffic_shard_slot() noexcept {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return slot;
-}
-
-}  // namespace
-
-TrafficMetrics::TrafficMetrics() : shards_(new Shard[kShards]) {}
-
-TrafficMetrics::TrafficMetrics(const TrafficMetrics& other)
-    : shards_(new Shard[kShards]) {
-  for (std::size_t k = 0; k < static_cast<std::size_t>(MessageKind::kCount);
-       ++k) {
-    shards_[0].counts[k].store(other.of(static_cast<MessageKind>(k)),
-                               std::memory_order_relaxed);
-  }
-}
-
-TrafficMetrics& TrafficMetrics::operator=(const TrafficMetrics& other) {
-  if (this == &other) return *this;
-  reset();
-  for (std::size_t k = 0; k < static_cast<std::size_t>(MessageKind::kCount);
-       ++k) {
-    shards_[0].counts[k].store(other.of(static_cast<MessageKind>(k)),
-                               std::memory_order_relaxed);
-  }
-  return *this;
-}
-
-TrafficMetrics::Shard& TrafficMetrics::shard() noexcept {
-  return shards_[traffic_shard_slot() & (kShards - 1)];
-}
-
-void TrafficMetrics::count(MessageKind kind, std::uint64_t messages) noexcept {
-  shard().counts[static_cast<std::size_t>(kind)].fetch_add(
-      messages, std::memory_order_relaxed);
-}
-
-void TrafficMetrics::reset() noexcept {
-  for (std::size_t s = 0; s < kShards; ++s) {
-    for (auto& c : shards_[s].counts) c.store(0, std::memory_order_relaxed);
-  }
-}
-
-std::uint64_t TrafficMetrics::total() const noexcept {
-  std::uint64_t sum = 0;
-  for (std::size_t k = 0; k < static_cast<std::size_t>(MessageKind::kCount);
-       ++k) {
-    sum += of(static_cast<MessageKind>(k));
-  }
-  return sum;
-}
-
-std::uint64_t TrafficMetrics::of(MessageKind kind) const noexcept {
-  std::uint64_t sum = 0;
-  for (std::size_t s = 0; s < kShards; ++s) {
-    sum += shards_[s]
-               .counts[static_cast<std::size_t>(kind)]
-               .load(std::memory_order_relaxed);
-  }
-  return sum;
-}
-
-std::uint64_t TrafficMetrics::trust_traffic() const noexcept {
-  return total() - of(MessageKind::kQuery);
-}
-
-std::string TrafficMetrics::summary() const {
-  std::ostringstream out;
-  for (std::size_t i = 0; i < static_cast<std::size_t>(MessageKind::kCount);
-       ++i) {
-    const std::uint64_t v = of(static_cast<MessageKind>(i));
-    if (v == 0) continue;
-    out << to_string(static_cast<MessageKind>(i)) << '=' << v << ' ';
-  }
-  out << "total=" << total();
   return out.str();
 }
 

@@ -1,34 +1,18 @@
 // Traffic accounting.  The paper's primary efficiency metric (Figure 5) is
-// "messages induced in the trust query process"; every overlay delivery
-// increments one of these counters, tagged by purpose.
+// "messages induced in the trust query process".  Every counted message is
+// a typed envelope carried by net::Transport, and each transport keeps one
+// ledger of them here, per EnvelopeType: the only traffic ledger.
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 
 namespace hirep::net {
 
-enum class MessageKind : std::uint8_t {
-  kQuery = 0,        ///< content/search queries (context traffic)
-  kTrustRequest,     ///< trust value request
-  kTrustResponse,    ///< trust value response
-  kReport,           ///< transaction result report
-  kAgentDiscovery,   ///< trusted-agent-list request/response
-  kOnionRelay,       ///< hop carried on behalf of an onion circuit
-  kKeyExchange,      ///< anonymity-key fetch handshake
-  kControl,          ///< everything else (maintenance, probes)
-  kCount
-};
-
-const char* to_string(MessageKind kind) noexcept;
-
-/// Typed protocol envelopes carried by the transport layer.  Every protocol
-/// interaction is one of these; the transport tags each with the MessageKind
-/// its hops are counted under (kind_of), so TrafficMetrics totals are
-/// unchanged while per-envelope delivery outcomes become observable.
+/// Typed protocol envelopes carried by the transport layer.  Every counted
+/// interaction is one of these, and its hop messages are tallied under its
+/// own type in the transport's EnvelopeMetrics.
 enum class EnvelopeType : std::uint8_t {
   kTrustRequest = 0,   ///< trust value request (peer -> agent)
   kTrustResponse,      ///< trust value response (agent -> peer)
@@ -40,13 +24,12 @@ enum class EnvelopeType : std::uint8_t {
   kProbe,              ///< §3.4.3 backup-cache liveness probe
   kVotePoll,           ///< baseline: flooding trust poll
   kVoteReturn,         ///< baseline: vote returned along the reverse path
+  kQuery,              ///< Gnutella QUERY flood hop (content search)
+  kQueryHit,           ///< Gnutella QUERYHIT along the reverse path
   kCount
 };
 
 const char* to_string(EnvelopeType type) noexcept;
-
-/// The TrafficMetrics bucket an envelope's hops are counted under.
-MessageKind kind_of(EnvelopeType type) noexcept;
 
 /// Per-envelope-type delivery accounting maintained by the transport:
 /// how many envelopes entered the transport, how many reached their
@@ -89,45 +72,14 @@ class EnvelopeMetrics {
   std::uint64_t total_sent() const noexcept;
   std::uint64_t total_delivered() const noexcept;
   std::uint64_t total_dropped() const noexcept;
+  /// Transmissions spent across every type (duplicates included).
+  std::uint64_t total_hop_messages() const noexcept;
 
   std::string summary() const;
 
  private:
   std::array<Counters, static_cast<std::size_t>(EnvelopeType::kCount)>
       counts_{};
-};
-
-/// Thread-safe: count() lands on a per-thread shard of relaxed atomics so
-/// concurrent lanes of the scale engine never contend on one cache line;
-/// readers sum across shards.  Totals are exact whenever no count() is
-/// concurrently in flight (the engine only reads at wave barriers).
-class TrafficMetrics {
- public:
-  TrafficMetrics();
-  TrafficMetrics(const TrafficMetrics& other);
-  TrafficMetrics& operator=(const TrafficMetrics& other);
-  TrafficMetrics(TrafficMetrics&&) noexcept = default;
-  TrafficMetrics& operator=(TrafficMetrics&&) noexcept = default;
-
-  void count(MessageKind kind, std::uint64_t messages = 1) noexcept;
-  void reset() noexcept;
-
-  std::uint64_t total() const noexcept;
-  std::uint64_t of(MessageKind kind) const noexcept;
-  /// Total excluding kQuery — the paper's "trust query process" traffic.
-  std::uint64_t trust_traffic() const noexcept;
-
-  std::string summary() const;
-
- private:
-  static constexpr std::size_t kShards = 16;  // power of two
-  struct alignas(64) Shard {
-    std::array<std::atomic<std::uint64_t>,
-               static_cast<std::size_t>(MessageKind::kCount)>
-        counts{};
-  };
-  Shard& shard() noexcept;
-  std::unique_ptr<Shard[]> shards_;
 };
 
 }  // namespace hirep::net

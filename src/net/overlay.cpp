@@ -10,10 +10,8 @@ Overlay::Overlay(Graph graph, LatencyParams latency, std::uint64_t seed)
       latency_(latency, seed),
       busy_until_(graph_.node_count(), 0.0) {}
 
-double Overlay::timed_send(double depart_ms, NodeIndex from, NodeIndex to,
-                           MessageKind kind) {
+double Overlay::timed_send(double depart_ms, NodeIndex from, NodeIndex to) {
   if (to >= busy_until_.size()) throw std::out_of_range("bad destination");
-  metrics_.count(kind);
   const double arrival = depart_ms + latency_.link_ms(from, to);
   const double start = std::max(arrival, busy_until_[to]);
   const double done = start + latency_.processing_ms();
@@ -21,30 +19,21 @@ double Overlay::timed_send(double depart_ms, NodeIndex from, NodeIndex to,
   return done;
 }
 
-double Overlay::estimate_send(double depart_ms, NodeIndex from,
-                              NodeIndex to) const {
-  const double arrival = depart_ms + latency_.link_ms(from, to);
-  return std::max(arrival, busy_until_[to]) + latency_.processing_ms();
-}
-
 double Overlay::timed_path(double depart_ms,
-                           const std::vector<NodeIndex>& path,
-                           MessageKind kind) {
+                           const std::vector<NodeIndex>& path) {
   if (path.size() < 2) return depart_ms;
   double t = depart_ms;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    t = timed_send(t, path[i], path[i + 1], kind);
+    t = timed_send(t, path[i], path[i + 1]);
   }
   return t;
 }
 
 double Overlay::stateless_path(double depart_ms,
-                               const std::vector<NodeIndex>& path,
-                               MessageKind kind) {
+                               const std::vector<NodeIndex>& path) {
   if (path.size() < 2) return depart_ms;
   double t = depart_ms;
   for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    metrics_.count(kind);
     t += latency_.link_ms(path[i], path[i + 1]) + latency_.processing_ms();
   }
   return t;

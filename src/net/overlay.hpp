@@ -1,10 +1,11 @@
-// The unstructured overlay: topology + latency model + traffic accounting +
-// a simple store-and-forward queueing model (each node handles messages
-// serially with a fixed per-message processing cost).
+// The unstructured overlay: topology + latency model + a store-and-forward
+// queueing model (each node handles messages serially with a fixed
+// per-message processing cost).
 //
-// Two views of the same network:
-//  * counted sends   — increment TrafficMetrics only (Figures 5–7)
-//  * timed sends     — additionally compute delivery timestamps (Figure 8)
+// The overlay counts nothing: every counted message is an envelope carried
+// by net::Transport, whose EnvelopeMetrics is the one traffic ledger
+// (Figures 5–7).  The queueing functions below compute delivery
+// timestamps for the Figure 8 response-time probes only.
 #pragma once
 
 #include <cstdint>
@@ -13,7 +14,6 @@
 
 #include "net/graph.hpp"
 #include "net/latency.hpp"
-#include "net/metrics.hpp"
 #include "util/rng.hpp"
 
 namespace hirep::net {
@@ -26,40 +26,24 @@ class Overlay {
   const LatencyModel& latency() const noexcept { return latency_; }
   std::size_t node_count() const noexcept { return graph_.node_count(); }
 
-  TrafficMetrics& metrics() noexcept { return metrics_; }
-  const TrafficMetrics& metrics() const noexcept { return metrics_; }
-
-  /// Counted point-to-point send (direct IP-level message, e.g. one onion
-  /// hop or a key-exchange packet). Overlay adjacency is NOT required:
-  /// relays/agents are addressed by IP, not by neighborhood.
-  void count_send(MessageKind kind, std::uint64_t messages = 1) noexcept {
-    metrics_.count(kind, messages);
-  }
-
   /// Timed delivery of one message leaving `from` at `depart_ms` toward the
-  /// directly-addressed `to`.  Models serial processing at the receiver:
-  /// the message is handled at max(arrival, receiver-free) + processing.
-  /// Returns the handling-completion time and advances the receiver's
-  /// busy-until state.  Also counts the message.
-  double timed_send(double depart_ms, NodeIndex from, NodeIndex to,
-                    MessageKind kind);
-
-  /// Same cost model without the queueing side effect (pure estimate).
-  double estimate_send(double depart_ms, NodeIndex from, NodeIndex to) const;
+  /// directly-addressed `to` (overlay adjacency is NOT required: relays and
+  /// agents are addressed by IP).  Models serial processing at the
+  /// receiver: the message is handled at max(arrival, receiver-free) +
+  /// processing.  Returns the handling-completion time and advances the
+  /// receiver's busy-until state.
+  double timed_send(double depart_ms, NodeIndex from, NodeIndex to);
 
   /// Sequential timed traversal of a multi-hop path (path[0] departs at
-  /// depart_ms). Returns completion at the final node. Counts path.size()-1
-  /// messages.
-  double timed_path(double depart_ms, const std::vector<NodeIndex>& path,
-                    MessageKind kind);
+  /// depart_ms). Returns completion at the final node.
+  double timed_path(double depart_ms, const std::vector<NodeIndex>& path);
 
   /// Timed traversal WITHOUT the queueing side effects: pure propagation +
   /// processing cost.  Use when hop events are generated out of global time
   /// order (e.g. independent onion circuits evaluated one after another) —
   /// the busy-until model is only meaningful for time-ordered event streams
-  /// like timed_flood.  Counts messages normally.
-  double stateless_path(double depart_ms, const std::vector<NodeIndex>& path,
-                        MessageKind kind);
+  /// like timed_flood.
+  double stateless_path(double depart_ms, const std::vector<NodeIndex>& path);
 
   /// Clears all busy-until state (start of a fresh timed experiment).
   void reset_time_state();
@@ -73,7 +57,6 @@ class Overlay {
  private:
   Graph graph_;
   LatencyModel latency_;
-  TrafficMetrics metrics_;
   std::vector<double> busy_until_;
 };
 

@@ -146,16 +146,14 @@ void EnvelopeBatch::drain_groups(
 // Transport
 
 /// Per-flush metric deltas: everything transmit_one counts lands here and
-/// is folded into EnvelopeMetrics / TrafficMetrics once per send() or
-/// send_batch().  Totals are exactly what per-hop counting would have
-/// produced — only the update granularity changes, which no consumer can
-/// observe (counters are read between sends, never inside one).
+/// is folded into EnvelopeMetrics once per send() or send_batch().  Totals
+/// are exactly what per-hop counting would have produced — only the update
+/// granularity changes, which no consumer can observe (counters are read
+/// between sends, never inside one).
 struct Transport::Acc {
   std::array<EnvelopeMetrics::Counters,
              static_cast<std::size_t>(EnvelopeType::kCount)>
       env{};
-  std::array<std::uint64_t, static_cast<std::size_t>(MessageKind::kCount)>
-      traffic{};
 };
 
 Transport::Transport(Overlay* overlay, const DeliveryConfig& config,
@@ -209,8 +207,6 @@ void Transport::transmit_one(EnvelopeType type, NodeIndex sender,
   envelope.id = next_id_++;
   envelope.payload = payload;
   EnvelopeMetrics::Counters& ec = acc.env[static_cast<std::size_t>(type)];
-  std::uint64_t& traffic =
-      acc.traffic[static_cast<std::size_t>(kind_of(type))];
   ++ec.sent;
   ec.payload_bytes_sent += payload.size();
 
@@ -226,7 +222,6 @@ void Transport::transmit_one(EnvelopeType type, NodeIndex sender,
     const NodeIndex to = path[index];
     const HopDecision decision = policy_->on_hop(envelope, from, to);
     const std::uint64_t copies = decision.duplicate ? 2 : 1;
-    traffic += copies;
     receipt.messages += copies;
     ec.hop_messages += copies;
     if (decision.duplicate) ++ec.duplicated;
@@ -263,8 +258,6 @@ void Transport::transmit_delayed(const Envelope& envelope,
                                  DeliveryReceipt& receipt, Acc& acc) {
   EnvelopeMetrics::Counters& ec =
       acc.env[static_cast<std::size_t>(envelope.type)];
-  std::uint64_t& traffic =
-      acc.traffic[static_cast<std::size_t>(kind_of(envelope.type))];
 
   // Hop chain as a self-scheduling event sequence, picking up at hop
   // `start` whose decision is already drawn.  All events fire inside this
@@ -289,7 +282,6 @@ void Transport::transmit_delayed(const Envelope& envelope,
     const NodeIndex to = path[index];
     const HopDecision decision = policy_->on_hop(envelope, from, to);
     const std::uint64_t copies = decision.duplicate ? 2 : 1;
-    traffic += copies;
     receipt.messages += copies;
     ec.hop_messages += copies;
     if (decision.duplicate) ++ec.duplicated;
@@ -319,11 +311,6 @@ void Transport::transmit_delayed(const Envelope& envelope,
 void Transport::flush(const Acc& acc) {
   for (std::size_t i = 0; i < acc.env.size(); ++i) {
     envelopes_.add(static_cast<EnvelopeType>(i), acc.env[i]);
-  }
-  for (std::size_t k = 0; k < acc.traffic.size(); ++k) {
-    if (acc.traffic[k] != 0) {
-      overlay_->count_send(static_cast<MessageKind>(k), acc.traffic[k]);
-    }
   }
 }
 

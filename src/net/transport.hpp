@@ -4,8 +4,8 @@
 // scheduled on the net::EventSim clock.
 //
 // Delivery behaviour is a pluggable DeliveryPolicy:
-//   * InstantDelivery — zero delay, no loss: bit-for-bit identical message
-//     counts and estimates to direct counted sends (the kFast sweeps);
+//   * InstantDelivery — zero delay, no loss: one transmission per hop, the
+//     message counts the paper's figures are made of;
 //   * LatencyDelivery — per-hop delay from the overlay's LatencyModel;
 //   * FaultyDelivery  — seeded per-hop drop / duplicate / extra-delay
 //     probabilities, independent of the simulation RNG stream.
@@ -13,7 +13,8 @@
 // A dropped hop loses the envelope (the transmission is still counted —
 // the message left the sender); callers observe `delivered == false` and
 // fall back exactly as the paper's §3.4.3 maintenance prescribes.  All
-// outcomes are tallied per EnvelopeType in net::EnvelopeMetrics.
+// outcomes are tallied per EnvelopeType in net::EnvelopeMetrics, the one
+// traffic ledger: every message any architecture counts is an envelope.
 //
 // Batched data path (DESIGN.md §11): call sites that fan out many
 // independent envelopes fill an EnvelopeBatch — payload bytes interned in
@@ -224,8 +225,9 @@ class EnvelopeBatch {
 
 class Transport {
  public:
-  /// Builds the configured policy over `overlay` (which supplies both the
-  /// hop counters and, for kLatency, the latency model).
+  /// Builds the configured policy over `overlay`, which supplies the graph
+  /// that floods and walks expand over and, for kLatency, the latency
+  /// model.  `seed` seeds kFaulty's private fault stream.
   Transport(Overlay* overlay, const DeliveryConfig& config, std::uint64_t seed);
   Transport(Overlay* overlay, std::unique_ptr<DeliveryPolicy> policy);
   /// Teardown runs the envelope-conservation invariant: every envelope this
@@ -260,9 +262,9 @@ class Transport {
   /// (successive receivers; path.back() is the destination).  Each hop is
   /// an EventSim event at now + policy delay; the queue drains before the
   /// receipt returns, so call sites stay synchronous while the message
-  /// path itself is event-driven.  Every transmission is counted into the
-  /// overlay's TrafficMetrics under kind_of(type).  Implemented as a
-  /// batch-of-one over the batched engine.
+  /// path itself is event-driven.  Every transmission is counted under
+  /// `type` in envelopes().  Implemented as a batch-of-one over the
+  /// batched engine.
   DeliveryReceipt send(EnvelopeType type, NodeIndex sender,
                        const std::vector<NodeIndex>& path,
                        util::Bytes payload = {});
@@ -270,8 +272,8 @@ class Transport {
   /// Carries every envelope in `batch`, strictly in push order, each one
   /// drained to completion before the next starts — byte-identical to the
   /// equivalent sequence of send() calls (the determinism contract; see
-  /// header comment).  Per-type/per-kind metric deltas accumulate locally
-  /// and flush once at the end; the batch's arena bytes are released
+  /// header comment).  Per-type metric deltas accumulate locally and
+  /// flush once at the end; the batch's arena bytes are released
   /// (receipts keep their own copies of delivered payloads).  Returns
   /// batch.receipts().
   std::span<const DeliveryReceipt> send_batch(EnvelopeBatch& batch);

@@ -94,22 +94,23 @@ ExperimentResult run_fig5_traffic(const Params& params) {
   for (std::size_t t = step; t <= total; t += step) checkpoints.push_back(t);
 
   // Cumulative trust-traffic series for one voting system of degree d.
-  // Traffic is read off the overlay's TrafficMetrics counters (relative to
-  // the post-construction baseline) rather than summed per transaction, so
-  // the figure measures exactly what the transport counted.
+  // Traffic is read off the transport's envelope ledger (relative to the
+  // post-construction baseline) rather than summed per transaction, so the
+  // figure measures exactly what the transport counted.
   auto voting_series = [&](double degree) {
     return average_over_seeds(params, [&](std::uint64_t seed) {
       Params p = with_seed(params, seed);
       p.neighbors_per_node = degree;
       baselines::PureVotingSystem system(p.voting_options());
-      const std::uint64_t baseline = system.overlay().metrics().trust_traffic();
+      const auto& ledger = system.transport().envelopes();
+      const std::uint64_t baseline = ledger.total_hop_messages();
       std::vector<double> ys;
       std::size_t next = 0;
       for (std::size_t t = 1; t <= total; ++t) {
         system.run_transaction();
         if (next < checkpoints.size() && t == checkpoints[next]) {
-          ys.push_back(static_cast<double>(
-              system.overlay().metrics().trust_traffic() - baseline));
+          ys.push_back(
+              static_cast<double>(ledger.total_hop_messages() - baseline));
           ++next;
         }
       }

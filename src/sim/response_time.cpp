@@ -29,8 +29,7 @@ double hirep_query_response_ms(core::HirepSystem& system,
     out_path.push_back(requestor);
     out_path.insert(out_path.end(), entry.relay_path.begin(),
                     entry.relay_path.end());
-    const double at_agent =
-        overlay.stateless_path(0.0, out_path, net::MessageKind::kTrustRequest);
+    const double at_agent = overlay.stateless_path(0.0, out_path);
 
     // Response: agent -> requestor's reply onion, except the final hop into
     // the requestor, which serializes: the requestor ingests the c
@@ -41,10 +40,8 @@ double hirep_query_response_ms(core::HirepSystem& system,
     back_path.insert(back_path.end(), reply_path.begin(), reply_path.end());
     const net::NodeIndex last_relay = back_path[back_path.size() - 2];
     std::vector<net::NodeIndex> to_relay(back_path.begin(), back_path.end() - 1);
-    const double at_relay = overlay.stateless_path(
-        at_agent, to_relay, net::MessageKind::kTrustResponse);
-    const double at_peer = overlay.timed_send(at_relay, last_relay, requestor,
-                                              net::MessageKind::kTrustResponse);
+    const double at_relay = overlay.stateless_path(at_agent, to_relay);
+    const double at_peer = overlay.timed_send(at_relay, last_relay, requestor);
     last = std::max(last, at_peer);
   }
   return last;

@@ -16,7 +16,8 @@
 namespace hirep::sim {
 
 /// One hiREP trust query's response time (ms), measured from a quiet
-/// network.  Counts the timed messages into the overlay metrics too.
+/// network on the overlay's queueing model.  Sends no envelope, so the
+/// system's traffic ledger is unchanged.
 double hirep_query_response_ms(core::HirepSystem& system,
                                net::NodeIndex requestor,
                                net::NodeIndex subject);

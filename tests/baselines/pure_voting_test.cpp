@@ -20,7 +20,7 @@ TEST(PureVoting, PollReachesVotersAndCountsTraffic) {
   const auto r = sys.poll(0, 1);
   EXPECT_GT(r.votes, 10u);
   EXPECT_GT(r.messages, r.votes);  // flood + responses exceed vote count
-  EXPECT_EQ(sys.overlay().metrics().total(), r.messages);
+  EXPECT_EQ(sys.transport().envelopes().total_hop_messages(), r.messages);
 }
 
 TEST(PureVoting, HonestVotesLandOnCorrectSide) {
@@ -65,7 +65,8 @@ TEST(PureVoting, ProviderDoesNotVoteOnItself) {
   ASSERT_FALSE(nbs.empty());
   const auto provider = nbs[0];
   const auto flood_reach =
-      net::flood(sys.overlay(), 0, 4, net::MessageKind::kControl).reached.size();
+      net::flood(sys.transport(), 0, 4, net::EnvelopeType::kProbe)
+          .reached.size();
   const auto r = sys.poll(0, provider);
   EXPECT_EQ(r.votes, flood_reach - 1);  // everyone reached except provider
 }

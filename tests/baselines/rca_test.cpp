@@ -38,8 +38,27 @@ TEST(Rca, SinglePointOfFailure) {
   EXPECT_EQ(rec.responses, 0u);
   EXPECT_DOUBLE_EQ(rec.estimate, 0.5);    // no information at all
   EXPECT_EQ(rec.trust_messages, 0u);
+  EXPECT_EQ(sys.transport().envelopes().total_sent(), 3u);  // the first run
   sys.set_rca_online(true);
   EXPECT_EQ(sys.run_transaction(1, 7).responses, 1u);
+}
+
+TEST(Rca, LostMessagesAreNeitherAnsweredNorStored) {
+  auto o = small_options();
+  o.delivery.policy = net::DeliveryPolicyKind::kFaulty;
+  o.delivery.faults.drop_rate = 1.0;
+  RcaSystem sys(o);
+  const auto rec = sys.run_transaction(0, 7);
+  EXPECT_EQ(rec.responses, 0u);
+  EXPECT_DOUBLE_EQ(rec.estimate, 0.5);
+  EXPECT_EQ(sys.reports_stored(), 0u);
+  // The request and the report each leave once; no response follows a
+  // request that never arrived.
+  EXPECT_EQ(rec.trust_messages, 2u);
+  const auto& ledger = sys.transport().envelopes();
+  EXPECT_EQ(ledger.of(net::EnvelopeType::kTrustRequest).dropped, 1u);
+  EXPECT_EQ(ledger.of(net::EnvelopeType::kTrustResponse).sent, 0u);
+  EXPECT_EQ(ledger.of(net::EnvelopeType::kReport).dropped, 1u);
 }
 
 TEST(Rca, BottleneckSerializesConcurrentQueries) {

@@ -53,7 +53,7 @@ TEST(TrustMe, DoubleBroadcastCostsMoreThanOneFlood) {
   // Compare with a single flood of the same TTL.
   TrustMeSystem fresh(small_options());
   const auto one_flood =
-      net::flood(fresh.overlay(), 0, 5, net::MessageKind::kControl).messages;
+      net::flood(fresh.transport(), 0, 5, net::EnvelopeType::kProbe).messages;
   EXPECT_GT(rec.trust_messages, one_flood);
 }
 

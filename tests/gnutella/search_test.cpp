@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "net/topology.hpp"
 
 namespace hirep::gnutella {
@@ -11,6 +13,7 @@ struct SearchFixture : ::testing::Test {
   SearchFixture()
       : rng(1),
         overlay(net::power_law(rng, 200, 4.0), net::LatencyParams{}, 1),
+        transport(&overlay, net::DeliveryConfig{}, 1),
         catalog(rng, 200, [] {
           CatalogParams p;
           p.files = 10;
@@ -21,11 +24,12 @@ struct SearchFixture : ::testing::Test {
 
   util::Rng rng;
   net::Overlay overlay;
+  net::Transport transport;
   ContentCatalog catalog;
 };
 
 TEST_F(SearchFixture, FindsPopularFile) {
-  const auto result = search(overlay, catalog, 0, 0, 4);
+  const auto result = search(transport, catalog, 0, 0, 4);
   EXPECT_TRUE(result.found());
   EXPECT_GT(result.query_messages, 0u);
   EXPECT_GT(result.hit_messages, 0u);
@@ -38,7 +42,7 @@ TEST_F(SearchFixture, FindsPopularFile) {
 
 TEST_F(SearchFixture, HitsOnlyFromReachedProviders) {
   // TTL 1: only direct neighbors can answer.
-  const auto result = search(overlay, catalog, 0, 0, 1);
+  const auto result = search(transport, catalog, 0, 0, 1);
   const auto nbs = overlay.graph().neighbors(0);
   for (const auto& hit : result.hits) {
     EXPECT_NE(std::find(nbs.begin(), nbs.end(), hit.provider), nbs.end());
@@ -48,26 +52,56 @@ TEST_F(SearchFixture, HitsOnlyFromReachedProviders) {
 TEST_F(SearchFixture, RequestorOwnCopyDoesNotHit) {
   // Give the flood a file the requestor itself holds.
   net::NodeIndex holder = catalog.providers_of(0)[0];
-  const auto result = search(overlay, catalog, holder, 0, 4);
+  const auto result = search(transport, catalog, holder, 0, 4);
   for (const auto& hit : result.hits) EXPECT_NE(hit.provider, holder);
 }
 
 TEST_F(SearchFixture, RareFilesHarderToFind) {
   std::size_t popular_hits = 0, rare_hits = 0;
   for (net::NodeIndex start = 0; start < 20; ++start) {
-    popular_hits += search(overlay, catalog, start, 0, 3).hits.size();
-    rare_hits += search(overlay, catalog, start, 9, 3).hits.size();
+    popular_hits += search(transport, catalog, start, 0, 3).hits.size();
+    rare_hits += search(transport, catalog, start, 9, 3).hits.size();
   }
   EXPECT_GT(popular_hits, rare_hits);
 }
 
 TEST_F(SearchFixture, TrafficCountedUnderQueryKind) {
-  overlay.metrics().reset();
-  const auto result = search(overlay, catalog, 0, 0, 3);
-  EXPECT_EQ(overlay.metrics().of(net::MessageKind::kQuery),
+  const auto result = search(transport, catalog, 0, 0, 3);
+  const auto& ledger = transport.envelopes();
+  EXPECT_EQ(ledger.of(net::EnvelopeType::kQuery).hop_messages,
+            result.query_messages);
+  EXPECT_EQ(ledger.of(net::EnvelopeType::kQueryHit).hop_messages,
+            result.hit_messages);
+  // One QueryHit envelope per hit, each travelling its hit's distance.
+  EXPECT_EQ(ledger.of(net::EnvelopeType::kQueryHit).delivered,
+            result.hits.size());
+  std::uint64_t hops = 0;
+  for (const auto& hit : result.hits) hops += hit.hops;
+  EXPECT_EQ(result.hit_messages, hops);
+  // Search traffic is all there is: no trust-type envelope was sent.
+  EXPECT_EQ(ledger.total_hop_messages(),
             result.query_messages + result.hit_messages);
-  // Search traffic never pollutes the trust-traffic accounting.
-  EXPECT_EQ(overlay.metrics().trust_traffic(), 0u);
+}
+
+TEST_F(SearchFixture, LostQueryHitsNeverReachTheRequestor) {
+  // Every QUERY copy lands; every QUERYHIT is lost on its first hop back.
+  struct DropHits final : net::DeliveryPolicy {
+    net::HopDecision on_hop(const net::Envelope& envelope, net::NodeIndex,
+                            net::NodeIndex) override {
+      net::HopDecision decision;
+      decision.drop = envelope.type == net::EnvelopeType::kQueryHit;
+      return decision;
+    }
+    const char* name() const noexcept override { return "drop-hits"; }
+  };
+  const auto reached = search(transport, catalog, 0, 0, 3);
+  ASSERT_TRUE(reached.found());
+  transport.set_policy(std::make_unique<DropHits>());
+  const auto lost = search(transport, catalog, 0, 0, 3);
+  EXPECT_FALSE(lost.found());
+  EXPECT_EQ(lost.query_messages, reached.query_messages);
+  // Each hit left its holder once and was lost there.
+  EXPECT_EQ(lost.hit_messages, reached.hits.size());
 }
 
 TEST_F(SearchFixture, FirstHitTimePositiveWhenFound) {

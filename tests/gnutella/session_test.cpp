@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+
 namespace hirep::gnutella {
 namespace {
 
@@ -83,12 +85,34 @@ TEST_F(SessionFixture, TrustFilteringBeatsBlindChoice) {
 }
 
 TEST_F(SessionFixture, SearchAndTrustTrafficSeparated) {
-  system.overlay().metrics().reset();
-  session.download(0, 0);
-  const auto& m = system.overlay().metrics();
-  EXPECT_GT(m.of(net::MessageKind::kQuery), 0u);
-  EXPECT_GT(m.trust_traffic(), 0u);
-  EXPECT_EQ(m.total(), m.of(net::MessageKind::kQuery) + m.trust_traffic());
+  const auto& ledger = system.transport().envelopes();
+  const auto hops = [&ledger](std::initializer_list<net::EnvelopeType> types) {
+    std::uint64_t sum = 0;
+    for (const auto type : types) sum += ledger.of(type).hop_messages;
+    return sum;
+  };
+  const auto search_hops = [&] {
+    return hops({net::EnvelopeType::kQuery, net::EnvelopeType::kQueryHit});
+  };
+  const auto maintenance_hops = [&] {
+    return hops({net::EnvelopeType::kAgentListRequest,
+                 net::EnvelopeType::kAgentListReply,
+                 net::EnvelopeType::kProbe, net::EnvelopeType::kKeyRotation});
+  };
+  const std::uint64_t total0 = ledger.total_hop_messages();
+  const std::uint64_t search0 = search_hops();
+  const std::uint64_t maintenance0 = maintenance_hops();
+
+  const auto rec = session.download(0, 0);
+  ASSERT_TRUE(rec.found);
+  EXPECT_GT(rec.search_messages, 0u);
+  EXPECT_GT(rec.trust_messages, 0u);
+  // Search traffic is exactly the QUERY/QUERYHIT envelopes, and every
+  // message of the download is search, trust or maintenance traffic.
+  EXPECT_EQ(search_hops() - search0, rec.search_messages);
+  EXPECT_EQ(ledger.total_hop_messages() - total0,
+            rec.search_messages + rec.trust_messages +
+                (maintenance_hops() - maintenance0));
 }
 
 TEST(FileSharingSession, UnfindableFileReportsNotFound) {

@@ -71,7 +71,6 @@ void expect_records_identical(const std::vector<Record>& a,
 struct RunTrace {
   std::vector<Record> records;
   std::uint64_t trust_messages = 0;
-  std::uint64_t overlay_total = 0;
   std::vector<net::EnvelopeMetrics::Counters> envelopes;
   std::vector<obs::Snapshot::CounterEntry> protocol_counters;
 };
@@ -83,7 +82,6 @@ RunTrace run_trace(const HirepOptions& opts, std::span<const Pair> pairs,
   RunTrace trace;
   trace.records = system.run_transactions(pairs, exec);
   trace.trust_messages = system.trust_message_total();
-  trace.overlay_total = system.overlay().metrics().total();
   const auto count = static_cast<std::size_t>(net::EnvelopeType::kCount);
   for (std::size_t t = 0; t < count; ++t) {
     trace.envelopes.push_back(
@@ -101,7 +99,6 @@ RunTrace run_trace(const HirepOptions& opts, std::span<const Pair> pairs,
 void expect_traces_identical(const RunTrace& serial, const RunTrace& other) {
   expect_records_identical(serial.records, other.records);
   EXPECT_EQ(serial.trust_messages, other.trust_messages);
-  EXPECT_EQ(serial.overlay_total, other.overlay_total);
   ASSERT_EQ(serial.envelopes.size(), other.envelopes.size());
   for (std::size_t t = 0; t < serial.envelopes.size(); ++t) {
     SCOPED_TRACE("envelope type " + std::to_string(t));

@@ -31,11 +31,11 @@ class ModeSweep : public ::testing::TestWithParam<CryptoMode> {};
 TEST_P(ModeSweep, KeyExchangeBootstrapCostIsNodesTimesRelaysTimesFour) {
   const auto o = options(GetParam());
   HirepSystem sys(o);
-  EXPECT_EQ(sys.overlay().metrics().of(net::MessageKind::kKeyExchange),
-            o.nodes * o.onion_relays * 4);
-  // Every handshake message is an envelope in the transport's ledger.
-  EXPECT_EQ(sys.transport().envelopes().of(net::EnvelopeType::kKeyExchange).sent,
-            o.nodes * o.onion_relays * 4);
+  // Every handshake message is a one-hop envelope in the transport's ledger.
+  const auto& handshakes =
+      sys.transport().envelopes().of(net::EnvelopeType::kKeyExchange);
+  EXPECT_EQ(handshakes.sent, o.nodes * o.onion_relays * 4);
+  EXPECT_EQ(handshakes.hop_messages, o.nodes * o.onion_relays * 4);
 }
 
 TEST_P(ModeSweep, LateReportsStillReachEveryAgent) {

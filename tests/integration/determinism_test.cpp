@@ -32,7 +32,8 @@ TEST(Determinism, HirepIdenticalRunsIdenticalResults) {
     EXPECT_EQ(ra.responses, rb.responses);
     EXPECT_EQ(ra.trust_messages, rb.trust_messages);
   }
-  EXPECT_EQ(a.overlay().metrics().total(), b.overlay().metrics().total());
+  EXPECT_EQ(a.transport().envelopes().total_hop_messages(),
+            b.transport().envelopes().total_hop_messages());
 }
 
 TEST(Determinism, HirepDifferentSeedsDiverge) {

@@ -13,9 +13,18 @@ Overlay ring_overlay(std::size_t nodes, std::size_t k = 1) {
   return Overlay(ring_lattice(nodes, k), LatencyParams{}, 1);
 }
 
+/// An overlay plus an instant transport over it: every copy lands.
+struct Instant {
+  explicit Instant(Overlay overlay_in)
+      : overlay(std::move(overlay_in)),
+        transport(&overlay, DeliveryConfig{}, 1) {}
+  Overlay overlay;
+  Transport transport;
+};
+
 TEST(Flood, RingReachWithinTtl) {
-  auto ov = ring_overlay(20);
-  const auto r = flood(ov, 0, 3, MessageKind::kTrustRequest);
+  Instant net(ring_overlay(20));
+  const auto r = flood(net.transport, 0, 3, EnvelopeType::kVotePoll);
   // Ring degree 2: TTL 3 reaches 3 nodes on each side.
   EXPECT_EQ(r.reached.size(), 6u);
   for (std::size_t i = 0; i < r.reached.size(); ++i) {
@@ -25,25 +34,27 @@ TEST(Flood, RingReachWithinTtl) {
 }
 
 TEST(Flood, RingMessageCountExact) {
-  auto ov = ring_overlay(20);
-  const auto r = flood(ov, 0, 3, MessageKind::kTrustRequest);
+  Instant net(ring_overlay(20));
+  const auto r = flood(net.transport, 0, 3, EnvelopeType::kVotePoll);
   // Source sends 2; each newly reached node (6 of them) forwards 1 copy
   // onward while TTL remains: depth-1 and depth-2 nodes forward (4 nodes),
   // depth-3 nodes do not.
   EXPECT_EQ(r.messages, 2u + 4u);
-  EXPECT_EQ(ov.metrics().of(MessageKind::kTrustRequest), r.messages);
+  const auto& ledger = net.transport.envelopes();
+  EXPECT_EQ(ledger.of(EnvelopeType::kVotePoll).hop_messages, r.messages);
+  EXPECT_EQ(ledger.total_hop_messages(), r.messages);
 }
 
 TEST(Flood, TtlZeroReachesNothing) {
-  auto ov = ring_overlay(10);
-  const auto r = flood(ov, 0, 0, MessageKind::kControl);
+  Instant net(ring_overlay(10));
+  const auto r = flood(net.transport, 0, 0, EnvelopeType::kVotePoll);
   EXPECT_TRUE(r.reached.empty());
   EXPECT_EQ(r.messages, 0u);
 }
 
 TEST(Flood, FullCoverageWithLargeTtl) {
-  auto ov = ring_overlay(16, 2);
-  const auto r = flood(ov, 3, 16, MessageKind::kControl);
+  Instant net(ring_overlay(16, 2));
+  const auto r = flood(net.transport, 3, 16, EnvelopeType::kVotePoll);
   EXPECT_EQ(r.reached.size(), 15u);  // everyone but the source
   std::set<NodeIndex> unique(r.reached.begin(), r.reached.end());
   EXPECT_EQ(unique.size(), 15u);
@@ -52,9 +63,9 @@ TEST(Flood, FullCoverageWithLargeTtl) {
 
 TEST(Flood, DepthsMatchBfsDistances) {
   util::Rng rng(4);
-  Overlay ov(power_law(rng, 200, 4.0), LatencyParams{}, 2);
-  const auto dist = ov.graph().bfs_distances(7);
-  const auto r = flood(ov, 7, 4, MessageKind::kControl);
+  Instant net(Overlay(power_law(rng, 200, 4.0), LatencyParams{}, 2));
+  const auto dist = net.overlay.graph().bfs_distances(7);
+  const auto r = flood(net.transport, 7, 4, EnvelopeType::kVotePoll);
   for (std::size_t i = 0; i < r.reached.size(); ++i) {
     EXPECT_EQ(r.depth[i], dist[r.reached[i]]);
   }
@@ -62,7 +73,7 @@ TEST(Flood, DepthsMatchBfsDistances) {
 
 TEST(TimedFlood, ArrivalTimesIncreaseWithDepth) {
   auto ov = ring_overlay(30);
-  const auto arrivals = timed_flood(ov, 0, 5, 0.0, MessageKind::kControl);
+  const auto arrivals = timed_flood(ov, 0, 5, 0.0);
   EXPECT_EQ(arrivals.size(), 10u);
   for (const auto& a : arrivals) {
     EXPECT_GT(a.time_ms, 0.0);
@@ -74,7 +85,7 @@ TEST(TimedFlood, ArrivalTimesIncreaseWithDepth) {
 TEST(TimedFlood, ParentsFormTreeTowardSource) {
   util::Rng rng(5);
   Overlay ov(power_law(rng, 100, 4.0), LatencyParams{}, 3);
-  const auto arrivals = timed_flood(ov, 0, 4, 0.0, MessageKind::kControl);
+  const auto arrivals = timed_flood(ov, 0, 4, 0.0);
   std::vector<NodeIndex> parent(ov.node_count(), kInvalidNode);
   for (const auto& a : arrivals) parent[a.node] = a.parent;
   for (const auto& a : arrivals) {
@@ -91,43 +102,41 @@ TEST(TimedFlood, ParentsFormTreeTowardSource) {
 }
 
 TEST(TokenWalk, ConsumesAtMostTokens) {
-  auto ov = ring_overlay(50, 2);
+  Instant net(ring_overlay(50, 2));
   util::Rng rng(6);
-  const auto visits = token_walk(ov, rng, 0, 5, 10,
-                                 [](NodeIndex) { return true; },
-                                 MessageKind::kAgentDiscovery);
+  const auto visits = token_walk(net.transport, rng, 0, 5, 10,
+                                 [](NodeIndex) { return true; });
   EXPECT_LE(visits.size(), 5u);
   EXPECT_GE(visits.size(), 1u);
 }
 
 TEST(TokenWalk, SkipsNonConsumers) {
-  auto ov = ring_overlay(50, 2);
+  Instant net(ring_overlay(50, 2));
   util::Rng rng(7);
   // Only even nodes answer.
-  const auto visits = token_walk(ov, rng, 1, 4, 20,
-                                 [](NodeIndex v) { return v % 2 == 0; },
-                                 MessageKind::kAgentDiscovery);
+  const auto visits = token_walk(net.transport, rng, 1, 4, 20,
+                                 [](NodeIndex v) { return v % 2 == 0; });
   for (const auto& v : visits) EXPECT_EQ(v.node % 2, 0u);
 }
 
 TEST(TokenWalk, ZeroTokensOrTtlNoVisits) {
-  auto ov = ring_overlay(20);
+  Instant net(ring_overlay(20));
   util::Rng rng(8);
-  EXPECT_TRUE(token_walk(ov, rng, 0, 0, 5, [](NodeIndex) { return true; },
-                         MessageKind::kControl)
-                  .empty());
-  EXPECT_TRUE(token_walk(ov, rng, 0, 5, 0, [](NodeIndex) { return true; },
-                         MessageKind::kControl)
-                  .empty());
+  EXPECT_TRUE(
+      token_walk(net.transport, rng, 0, 0, 5, [](NodeIndex) { return true; })
+          .empty());
+  EXPECT_TRUE(
+      token_walk(net.transport, rng, 0, 5, 0, [](NodeIndex) { return true; })
+          .empty());
+  EXPECT_EQ(net.transport.envelopes().total_sent(), 0u);
 }
 
 TEST(TokenWalk, TtlBoundsReach) {
-  auto ov = ring_overlay(100);
+  Instant net(ring_overlay(100));
   util::Rng rng(9);
   // Ring with TTL 2 from node 0: only nodes within 2 hops can answer.
-  const auto visits = token_walk(ov, rng, 0, 50, 2,
-                                 [](NodeIndex) { return true; },
-                                 MessageKind::kControl);
+  const auto visits = token_walk(net.transport, rng, 0, 50, 2,
+                                 [](NodeIndex) { return true; });
   for (const auto& v : visits) {
     const bool near = v.node <= 2 || v.node >= 98;
     EXPECT_TRUE(near) << "node " << v.node << " beyond TTL";
@@ -135,11 +144,15 @@ TEST(TokenWalk, TtlBoundsReach) {
 }
 
 TEST(TokenWalk, CountsTraffic) {
-  auto ov = ring_overlay(30, 2);
+  Instant net(ring_overlay(30, 2));
   util::Rng rng(10);
-  token_walk(ov, rng, 0, 5, 5, [](NodeIndex) { return true; },
-             MessageKind::kAgentDiscovery);
-  EXPECT_GT(ov.metrics().of(MessageKind::kAgentDiscovery), 0u);
+  const auto visits = token_walk(net.transport, rng, 0, 5, 5,
+                                 [](NodeIndex) { return true; });
+  const auto& ledger = net.transport.envelopes();
+  EXPECT_GT(ledger.of(EnvelopeType::kAgentListRequest).hop_messages, 0u);
+  // One reply per consuming node, straight back to the source.
+  EXPECT_EQ(ledger.of(EnvelopeType::kAgentListReply).hop_messages,
+            visits.size());
 }
 
 }  // namespace

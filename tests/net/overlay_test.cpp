@@ -39,47 +39,27 @@ TEST(LatencyModel, SeedChangesLatencies) {
   EXPECT_GT(differs, 40);
 }
 
-TEST(TrafficMetrics, CountsByKind) {
-  TrafficMetrics m;
-  m.count(MessageKind::kTrustRequest, 3);
-  m.count(MessageKind::kQuery, 2);
-  EXPECT_EQ(m.of(MessageKind::kTrustRequest), 3u);
-  EXPECT_EQ(m.total(), 5u);
-  EXPECT_EQ(m.trust_traffic(), 3u);  // excludes kQuery
-  m.reset();
-  EXPECT_EQ(m.total(), 0u);
-}
-
-TEST(TrafficMetrics, SummaryMentionsNonZeroKinds) {
-  TrafficMetrics m;
-  m.count(MessageKind::kReport, 7);
-  const auto s = m.summary();
-  EXPECT_NE(s.find("report=7"), std::string::npos);
-  EXPECT_NE(s.find("total=7"), std::string::npos);
-}
-
 TEST(Overlay, TimedSendAddsLatencyAndProcessing) {
   auto ov = make_overlay();
-  const double done = ov.timed_send(0.0, 0, 1, MessageKind::kControl);
+  const double done = ov.timed_send(0.0, 0, 1);
   const double expected =
       ov.latency().link_ms(0, 1) + ov.latency().processing_ms();
   EXPECT_DOUBLE_EQ(done, expected);
-  EXPECT_EQ(ov.metrics().of(MessageKind::kControl), 1u);
 }
 
 TEST(Overlay, ReceiverSerializesMessages) {
   auto ov = make_overlay();
   // Two messages arriving at node 2 at the same time: the second waits.
-  const double first = ov.timed_send(0.0, 0, 2, MessageKind::kControl);
-  const double second = ov.timed_send(0.0, 0, 2, MessageKind::kControl);
+  const double first = ov.timed_send(0.0, 0, 2);
+  const double second = ov.timed_send(0.0, 0, 2);
   EXPECT_DOUBLE_EQ(second, first + ov.latency().processing_ms());
 }
 
 TEST(Overlay, ResetTimeStateClearsQueues) {
   auto ov = make_overlay();
-  ov.timed_send(0.0, 0, 1, MessageKind::kControl);
+  ov.timed_send(0.0, 0, 1);
   ov.reset_time_state();
-  const double done = ov.timed_send(0.0, 0, 1, MessageKind::kControl);
+  const double done = ov.timed_send(0.0, 0, 1);
   EXPECT_DOUBLE_EQ(done,
                    ov.latency().link_ms(0, 1) + ov.latency().processing_ms());
 }
@@ -87,7 +67,7 @@ TEST(Overlay, ResetTimeStateClearsQueues) {
 TEST(Overlay, TimedPathAccumulates) {
   auto ov = make_overlay();
   const std::vector<NodeIndex> path{0, 1, 2, 3};
-  const double done = ov.timed_path(0.0, path, MessageKind::kControl);
+  const double done = ov.timed_path(0.0, path);
   double expected = 0.0;
   for (int i = 0; i < 3; ++i) {
     expected += ov.latency().link_ms(static_cast<NodeIndex>(i),
@@ -95,31 +75,30 @@ TEST(Overlay, TimedPathAccumulates) {
                 ov.latency().processing_ms();
   }
   EXPECT_DOUBLE_EQ(done, expected);
-  EXPECT_EQ(ov.metrics().of(MessageKind::kControl), 3u);
 }
 
 TEST(Overlay, StatelessPathMatchesTimedOnQuietNetwork) {
   auto ov = make_overlay();
   const std::vector<NodeIndex> path{0, 2, 4, 6};
-  const double stateless = ov.stateless_path(0.0, path, MessageKind::kControl);
+  const double stateless = ov.stateless_path(0.0, path);
   ov.reset_time_state();
-  const double timed = ov.timed_path(0.0, path, MessageKind::kControl);
+  const double timed = ov.timed_path(0.0, path);
   EXPECT_DOUBLE_EQ(stateless, timed);
 }
 
 TEST(Overlay, StatelessPathHasNoQueueSideEffects) {
   auto ov = make_overlay();
-  ov.stateless_path(0.0, {0, 5}, MessageKind::kControl);
+  ov.stateless_path(0.0, {0, 5});
   // Node 5 must not be busy afterwards.
-  const double done = ov.timed_send(0.0, 0, 5, MessageKind::kControl);
+  const double done = ov.timed_send(0.0, 0, 5);
   EXPECT_DOUBLE_EQ(done,
                    ov.latency().link_ms(0, 5) + ov.latency().processing_ms());
 }
 
 TEST(Overlay, ShortPathsAreNoops) {
   auto ov = make_overlay();
-  EXPECT_DOUBLE_EQ(ov.timed_path(5.0, {0}, MessageKind::kControl), 5.0);
-  EXPECT_DOUBLE_EQ(ov.stateless_path(5.0, {}, MessageKind::kControl), 5.0);
+  EXPECT_DOUBLE_EQ(ov.timed_path(5.0, {0}), 5.0);
+  EXPECT_DOUBLE_EQ(ov.stateless_path(5.0, {}), 5.0);
 }
 
 }  // namespace

@@ -26,8 +26,6 @@ namespace {
 constexpr std::size_t kNodes = 24;
 constexpr std::size_t kTypeCount =
     static_cast<std::size_t>(EnvelopeType::kCount);
-constexpr std::size_t kKindCount =
-    static_cast<std::size_t>(MessageKind::kCount);
 
 Overlay make_overlay(std::uint64_t seed = 1) {
   return Overlay(ring_lattice(kNodes, 2), LatencyParams{}, seed);
@@ -64,7 +62,6 @@ std::vector<PlannedSend> draw_schedule(std::uint64_t seed) {
 struct RunResult {
   std::vector<DeliveryReceipt> receipts;
   std::array<EnvelopeMetrics::Counters, kTypeCount> counters;
-  std::array<std::uint64_t, kKindCount> traffic;
   double clock = 0.0;
 };
 
@@ -73,10 +70,6 @@ RunResult snapshot(Transport& transport, std::vector<DeliveryReceipt> receipts) 
   result.receipts = std::move(receipts);
   for (std::size_t i = 0; i < kTypeCount; ++i) {
     result.counters[i] = transport.envelopes().of(static_cast<EnvelopeType>(i));
-  }
-  for (std::size_t k = 0; k < kKindCount; ++k) {
-    result.traffic[k] = transport.overlay().metrics().of(
-        static_cast<MessageKind>(k));
   }
   result.clock = transport.sim().now();
   return result;
@@ -133,7 +126,6 @@ void expect_identical(const RunResult& seq, const RunResult& bat) {
     EXPECT_EQ(a.payload_bytes_delivered, b.payload_bytes_delivered);
     EXPECT_EQ(a.payload_bytes_dropped, b.payload_bytes_dropped);
   }
-  EXPECT_EQ(seq.traffic, bat.traffic);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(seq.clock),
             std::bit_cast<std::uint64_t>(bat.clock));
 }

@@ -9,6 +9,7 @@
 #include "check/check.hpp"
 #include "net/flood.hpp"
 #include "net/topology.hpp"
+#include "sequential_reference.hpp"
 
 namespace hirep::net {
 namespace {
@@ -32,15 +33,12 @@ TEST(TransportInstant, CountsOneMessagePerHopAndDelivers) {
   EXPECT_EQ(receipt.completion_ms, 0.0);
   ASSERT_EQ(receipt.payload.size(), 1u);
   EXPECT_EQ(receipt.payload[0], 0xAB);
-  // Exactly what Overlay::count_send(kind, path.size()) would have counted.
-  EXPECT_EQ(overlay.metrics().of(MessageKind::kTrustRequest), path.size());
-  EXPECT_EQ(overlay.metrics().total(), path.size());
-
   const auto& c = transport.envelopes().of(EnvelopeType::kTrustRequest);
   EXPECT_EQ(c.sent, 1u);
   EXPECT_EQ(c.delivered, 1u);
   EXPECT_EQ(c.dropped, 0u);
   EXPECT_EQ(c.hop_messages, path.size());
+  EXPECT_EQ(transport.envelopes().total_hop_messages(), path.size());
 }
 
 TEST(TransportInstant, EmptyPathIsNotDelivered) {
@@ -49,20 +47,23 @@ TEST(TransportInstant, EmptyPathIsNotDelivered) {
   const auto receipt = transport.send(EnvelopeType::kProbe, 0, {});
   EXPECT_FALSE(receipt.delivered);
   EXPECT_EQ(receipt.messages, 0u);
-  EXPECT_EQ(overlay.metrics().total(), 0u);
+  EXPECT_EQ(transport.envelopes().total_hop_messages(), 0u);
 }
 
 TEST(TransportInstant, HopsCountUnderTheEnvelopesKind) {
   Overlay overlay = make_overlay();
   Transport transport(&overlay, DeliveryConfig{}, 1);
   transport.send(EnvelopeType::kVotePoll, 0, {1});
-  transport.send(EnvelopeType::kVoteReturn, 1, {0});
-  transport.send(EnvelopeType::kAgentListReply, 2, {0});
-  transport.send(EnvelopeType::kProbe, 0, {5});
-  EXPECT_EQ(overlay.metrics().of(MessageKind::kTrustRequest), 1u);
-  EXPECT_EQ(overlay.metrics().of(MessageKind::kTrustResponse), 1u);
-  EXPECT_EQ(overlay.metrics().of(MessageKind::kAgentDiscovery), 1u);
-  EXPECT_EQ(overlay.metrics().of(MessageKind::kControl), 1u);
+  transport.send(EnvelopeType::kVoteReturn, 1, {0, 2});
+  transport.send(EnvelopeType::kQuery, 2, {3});
+  transport.send(EnvelopeType::kQueryHit, 3, {2, 1, 0});
+  const auto& ledger = transport.envelopes();
+  EXPECT_EQ(ledger.of(EnvelopeType::kVotePoll).hop_messages, 1u);
+  EXPECT_EQ(ledger.of(EnvelopeType::kVoteReturn).hop_messages, 2u);
+  EXPECT_EQ(ledger.of(EnvelopeType::kQuery).hop_messages, 1u);
+  EXPECT_EQ(ledger.of(EnvelopeType::kQueryHit).hop_messages, 3u);
+  EXPECT_EQ(ledger.of(EnvelopeType::kProbe).hop_messages, 0u);
+  EXPECT_EQ(ledger.total_hop_messages(), 7u);
 }
 
 TEST(TransportLatency, CompletionTimeIsTheSumOfHopDelays) {
@@ -118,7 +119,8 @@ TEST(TransportFaulty, DuplicateRateOneDoublesEveryTransmission) {
 
   EXPECT_TRUE(receipt.delivered);
   EXPECT_EQ(receipt.messages, 2 * path.size());
-  EXPECT_EQ(overlay.metrics().of(MessageKind::kReport), 2 * path.size());
+  EXPECT_EQ(transport.envelopes().of(EnvelopeType::kReport).hop_messages,
+            2 * path.size());
   EXPECT_EQ(transport.envelopes().of(EnvelopeType::kReport).duplicated,
             path.size());
   // Every second copy lands at its receiver and is discarded by envelope
@@ -202,7 +204,7 @@ TEST(TransportFaulty, ConservationHoldsExactlyUnderDropsAndDuplicates) {
     // Duplicates are only minted on undropped hops, so every second copy
     // lands and is suppressed at its receiver — one for one.
     EXPECT_EQ(suppressed, duplicated);
-    EXPECT_EQ(overlay.metrics().total(), receipt_messages);
+    EXPECT_EQ(transport.envelopes().total_hop_messages(), receipt_messages);
   }
   // Teardown ran the envelope-conservation invariant; the books balance,
   // so it must have stayed silent.
@@ -247,18 +249,17 @@ TEST(TransportPolicy, NamesRoundTrip) {
 }
 
 TEST(TransportFlood, InstantFloodMatchesCountedFlood) {
-  Overlay counted = make_overlay(20, 3);
-  Overlay routed = make_overlay(20, 3);
-  Transport transport(&routed, DeliveryConfig{}, 3);
+  Overlay overlay = make_overlay(20, 3);
+  Transport transport(&overlay, DeliveryConfig{}, 3);
 
-  const auto a = flood(counted, 0, 3, MessageKind::kTrustRequest);
+  const auto a = reference::flood(overlay.graph(), 0, 3);
   const auto b = flood(transport, 0, 3, EnvelopeType::kVotePoll);
 
   EXPECT_EQ(a.reached, b.reached);
   EXPECT_EQ(a.depth, b.depth);
   EXPECT_EQ(a.parent, b.parent);
   EXPECT_EQ(a.messages, b.messages);
-  EXPECT_EQ(counted.metrics().total(), routed.metrics().total());
+  EXPECT_EQ(transport.envelopes().total_hop_messages(), a.messages);
 }
 
 TEST(TransportFlood, DropsPruneTheFloodFrontier) {
@@ -274,22 +275,34 @@ TEST(TransportFlood, DropsPruneTheFloodFrontier) {
 }
 
 TEST(TransportTokenWalk, InstantWalkMatchesCountedWalk) {
-  Overlay counted = make_overlay(30, 5);
-  Overlay routed = make_overlay(30, 5);
-  Transport transport(&routed, DeliveryConfig{}, 5);
+  Overlay overlay = make_overlay(30, 5);
+  Transport transport(&overlay, DeliveryConfig{}, 5);
   util::Rng rng_a(11), rng_b(11);
   const auto consumes = [](NodeIndex v) { return v % 3 == 0; };
 
-  const auto a = token_walk(counted, rng_a, 0, 6, 4, consumes,
-                            MessageKind::kAgentDiscovery);
+  const auto a =
+      reference::token_walk(overlay.graph(), rng_a, 0, 6, 4, consumes);
   const auto b = token_walk(transport, rng_b, 0, 6, 4, consumes);
 
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].node, b[i].node);
-    EXPECT_EQ(a[i].tokens_spent, b[i].tokens_spent);
+  ASSERT_EQ(a.visits.size(), b.size());
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_EQ(a.visits[i].node, b[i].node);
+    EXPECT_EQ(a.visits[i].tokens_spent, b[i].tokens_spent);
   }
-  EXPECT_EQ(counted.metrics().total(), routed.metrics().total());
+  EXPECT_EQ(transport.envelopes().total_hop_messages(), a.messages);
+  // Both walks drew the same shuffles.
+  EXPECT_EQ(rng_a(), rng_b());
+}
+
+TEST(EnvelopeMetrics, TotalHopMessagesSumsEveryType) {
+  EnvelopeMetrics metrics;
+  metrics.count_hops(EnvelopeType::kTrustRequest, 3);
+  metrics.count_hops(EnvelopeType::kQuery, 2);
+  EXPECT_EQ(metrics.of(EnvelopeType::kTrustRequest).hop_messages, 3u);
+  EXPECT_EQ(metrics.of(EnvelopeType::kQuery).hop_messages, 2u);
+  EXPECT_EQ(metrics.total_hop_messages(), 5u);
+  metrics.reset();
+  EXPECT_EQ(metrics.total_hop_messages(), 0u);
 }
 
 TEST(EnvelopeMetrics, SummaryListsActiveTypes) {

@@ -34,9 +34,9 @@ TEST_F(RelayFixture, HonestHandshakeSucceeds) {
 TEST_F(RelayFixture, HandshakeCountsFourMessages) {
   HonestRelay relay(3, &relay_identity);
   fetch_anonymity_key(transport, rng, requestor, 0, relay);
-  EXPECT_EQ(overlay.metrics().of(net::MessageKind::kKeyExchange), 4u);
-  // Four kKeyExchange envelopes, each carrying its real bytes.
+  // Four one-hop kKeyExchange envelopes, each carrying its real bytes.
   const auto& sent = transport.envelopes().of(net::EnvelopeType::kKeyExchange);
+  EXPECT_EQ(sent.hop_messages, 4u);
   EXPECT_EQ(sent.sent, 4u);
   EXPECT_EQ(sent.delivered, 4u);
   EXPECT_GT(sent.payload_bytes_delivered, 0u);

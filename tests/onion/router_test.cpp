@@ -52,7 +52,8 @@ TEST_F(RouterFixture, DeliversThroughRelays) {
   EXPECT_EQ(result.destination, 5u);
   EXPECT_EQ(result.hops, 4u);  // sender->3->2->1->5
   EXPECT_EQ(result.payload, payload);
-  EXPECT_EQ(overlay.metrics().of(net::MessageKind::kControl), 4u);
+  EXPECT_EQ(transport.envelopes().of(net::EnvelopeType::kProbe).hop_messages,
+            4u);
 }
 
 TEST_F(RouterFixture, ZeroRelayOnionDeliversDirect) {
@@ -68,7 +69,7 @@ TEST_F(RouterFixture, BadSignatureRejectedWithoutTraffic) {
   onion.blob[0] ^= 1;
   EXPECT_FALSE(router->peel_path(onion).has_value());
   EXPECT_FALSE(route(onion).delivered);
-  EXPECT_EQ(overlay.metrics().total(), 0u);
+  EXPECT_EQ(transport.envelopes().total_hop_messages(), 0u);
 }
 
 TEST_F(RouterFixture, DifferentAgesRouteUntilRevocation) {

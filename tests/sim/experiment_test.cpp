@@ -4,6 +4,9 @@
 
 #include <sstream>
 
+#include "baselines/pure_voting.hpp"
+#include "baselines/rca.hpp"
+#include "gnutella/search.hpp"
 #include "sim/response_time.hpp"
 
 namespace hirep::sim {
@@ -119,6 +122,39 @@ TEST(ResponseTime, MoreRelaysSlower) {
     return sum / 20.0;
   };
   EXPECT_LT(mean_response(2), mean_response(8));
+}
+
+TEST(ResponseTime, TimingProbesSendNothing) {
+  // The Figure 8 probes run on the overlay's queueing model; they must
+  // leave every architecture's traffic ledger as it was.
+  const Params p = tiny_params();
+  core::HirepSystem hirep(p.hirep_options());
+  const std::uint64_t trust0 = hirep.trust_message_total();
+  const std::uint64_t hirep0 = hirep.transport().envelopes().total_sent();
+  double timed = 0.0;
+  for (net::NodeIndex requestor = 0; requestor < 10; ++requestor) {
+    timed += hirep_query_response_ms(hirep, requestor, 50);
+  }
+  ASSERT_GT(timed, 0.0);
+  EXPECT_EQ(hirep.trust_message_total(), trust0);
+  EXPECT_EQ(hirep.transport().envelopes().total_sent(), hirep0);
+
+  gnutella::CatalogParams files;
+  files.files = 10;
+  const gnutella::ContentCatalog catalog(hirep.rng(), hirep.node_count(),
+                                         files);
+  ASSERT_GT(gnutella::search_first_hit_ms(hirep.overlay(), catalog, 0, 0, 4),
+            0.0);
+  EXPECT_EQ(hirep.transport().envelopes().total_sent(), hirep0);
+
+  baselines::PureVotingSystem voting(p.voting_options());
+  const std::uint64_t voting0 = voting.transport().envelopes().total_sent();
+  ASSERT_GT(voting.poll_timed(0, 5).response_ms, 0.0);
+  EXPECT_EQ(voting.transport().envelopes().total_sent(), voting0);
+
+  baselines::RcaSystem rca(baselines::RcaOptions{p.world_options()});
+  ASSERT_GT(rca.timed_query_burst_ms(20), 0.0);
+  EXPECT_EQ(rca.transport().envelopes().total_sent(), 0u);
 }
 
 }  // namespace
