@@ -3,6 +3,8 @@
 // contrasts max-rank with mean-rank and sum-rank under the two §4.2.1
 // attacks: bad-mouthing a good agent and ballot-stuffing a shill.
 #include <iostream>
+#include <span>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "hirep/discovery.hpp"
@@ -39,7 +41,9 @@ double survival_rate(hirep::core::RankingRule rule, int hostile,
     for (int h = 0; h < hostile; ++h) {
       lists.push_back({entry_of(8, 1.0), entry_of(9, 0.95), entry_of(1, 0.0)});
     }
-    const auto selected = hirep::core::rank_and_select(lists, 2, rng, rule);
+    const std::vector<std::span<const AgentEntry>> views(lists.begin(),
+                                                         lists.end());
+    const auto selected = hirep::core::rank_and_select(views, 2, rng, rule);
     for (const auto& e : selected) {
       if (e.agent_id == id_of(1)) {
         ++survived;

@@ -2,6 +2,9 @@
 // crypto modes, trust queries, agent ranking, and EigenTrust.
 #include <benchmark/benchmark.h>
 
+#include <span>
+#include <vector>
+
 #include "hirep/system.hpp"
 #include "trust/eigentrust.hpp"
 
@@ -76,8 +79,10 @@ void BM_RankAndSelect(benchmark::State& state) {
     }
     lists.push_back(std::move(list));
   }
+  const std::vector<std::span<const core::AgentEntry>> views(lists.begin(),
+                                                             lists.end());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::rank_and_select(lists, 10, rng));
+    benchmark::DoNotOptimize(core::rank_and_select(views, 10, rng));
   }
 }
 BENCHMARK(BM_RankAndSelect)->Arg(10)->Arg(100);

@@ -5,6 +5,8 @@
 //   ./build/examples/attack_resilience [nodes=96] [seed=3]
 #include <iomanip>
 #include <iostream>
+#include <span>
+#include <vector>
 
 #include "sim/attacks.hpp"
 #include "sim/scenario.hpp"
@@ -63,7 +65,9 @@ int main(int argc, char** argv) {
     honest.agent_key = system.identities()[good].signature_public();
     honest.weight = 1.0;
     lists.push_back({honest});
-    const auto selected = core::rank_and_select(lists, 3, system.rng());
+    const std::vector<std::span<const core::AgentEntry>> views(lists.begin(),
+                                                               lists.end());
+    const auto selected = core::rank_and_select(views, 3, system.rng());
     bool good_survives = false;
     for (const auto& e : selected) {
       good_survives |= (e.agent_id == honest.agent_id);

@@ -1,6 +1,8 @@
 // Probabilistic primality testing and prime generation for RSA key
 // generation.  Miller-Rabin with enough rounds that the error probability
-// is far below any simulation-relevant scale (4^-rounds).
+// is far below any simulation-relevant scale (4^-rounds).  Values of at
+// most 64 bits run on native words (DESIGN §13.6) with the same results
+// and the same rng draws as the BigInt path wider values take.
 #pragma once
 
 #include "crypto/bigint.hpp"

@@ -6,22 +6,22 @@
 namespace hirep::core {
 
 std::vector<AgentEntry> rank_and_select(
-    const std::vector<std::vector<AgentEntry>>& lists, std::size_t want,
+    std::span<const std::span<const AgentEntry>> lists, std::size_t want,
     util::Rng& rng, RankingRule rule) {
   if (want == 0) return {};
 
   struct Candidate {
     double score = 0.0;
     std::size_t votes = 0;
-    AgentEntry entry;
+    const AgentEntry* entry = nullptr;
     double entry_rank = -1.0;  // rank of the list that supplied `entry`
   };
   std::map<crypto::NodeId, Candidate> candidates;
 
-  for (const auto& list : lists) {
+  std::vector<const AgentEntry*> sorted;
+  for (const auto list : lists) {
     // Rank within this list: heaviest first.
-    std::vector<const AgentEntry*> sorted;
-    sorted.reserve(list.size());
+    sorted.clear();
     for (const auto& e : list) sorted.push_back(&e);
     std::stable_sort(sorted.begin(), sorted.end(),
                      [](const AgentEntry* a, const AgentEntry* b) {
@@ -46,7 +46,7 @@ std::vector<AgentEntry> rank_and_select(
       }
       ++cand.votes;
       if (rank > cand.entry_rank) {
-        cand.entry = *sorted[pos];
+        cand.entry = sorted[pos];
         cand.entry_rank = rank;
       }
     }
@@ -73,26 +73,11 @@ std::vector<AgentEntry> rank_and_select(
   selected.reserve(std::min(want, order.size()));
   for (const auto& s : order) {
     if (selected.size() >= want) break;
-    AgentEntry e = s.cand->entry;
+    AgentEntry e = *s.cand->entry;
     e.weight = 1.0;  // initial expertise (§3.4.3)
     selected.push_back(std::move(e));
   }
   return selected;
-}
-
-std::vector<CollectedList> collect_agent_lists(
-    net::Transport& transport, util::Rng& rng, net::NodeIndex requestor,
-    std::uint32_t tokens, std::uint32_t ttl,
-    const std::function<std::vector<AgentEntry>(net::NodeIndex)>& list_of) {
-  std::vector<CollectedList> collected;
-  const auto visits = net::token_walk(
-      transport, rng, requestor, tokens, ttl,
-      [&](net::NodeIndex node) { return !list_of(node).empty(); });
-  collected.reserve(visits.size());
-  for (const auto& visit : visits) {
-    collected.push_back({visit.node, list_of(visit.node)});
-  }
-  return collected;
 }
 
 }  // namespace hirep::core

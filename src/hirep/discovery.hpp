@@ -4,7 +4,9 @@
 // request {R_al, token, TTL}: the request fans out across the overlay;
 // each node that owns a trusted-agent list returns it, consuming one
 // token; a node with no list but agent capability may answer with its own
-// nodeId.  Propagation ends when tokens or TTL run out.
+// nodeId.  Propagation ends when tokens or TTL run out.  The walk is
+// net::token_walk, driven by HirepSystem::discover_agents; this module
+// ranks the lists it returns.
 //
 // Received recommendations are ranked per list — the heaviest agent in a
 // list gets rank n, the next n-1, …, anything past the top n gets 0 — and
@@ -13,11 +15,11 @@
 // (§4.2.1).  Ties are broken uniformly at random.
 #pragma once
 
-#include <functional>
+#include <span>
 #include <vector>
 
 #include "hirep/agent_list.hpp"
-#include "net/flood.hpp"
+#include "util/rng.hpp"
 
 namespace hirep::core {
 
@@ -29,27 +31,12 @@ enum class RankingRule { kMaxRank, kMeanRank, kSumRank };
 /// Ranks all recommended agents across `lists` and selects up to `want` of
 /// them.  When one agent appears in several lists, the returned entry is
 /// the one from the list that granted its decisive rank (freshest onion
-/// under kMaxRank).  Selected entries start with weight 1 (§3.4.3: initial
-/// expertise 1) regardless of the recommender's claimed weight.
+/// under kMaxRank).  The lists are views of the responders' own lists:
+/// ranking copies nothing, and only the selected entries are copied out.
+/// Selected entries start with weight 1 (§3.4.3: initial expertise 1)
+/// regardless of the recommender's claimed weight.
 std::vector<AgentEntry> rank_and_select(
-    const std::vector<std::vector<AgentEntry>>& lists, std::size_t want,
+    std::span<const std::span<const AgentEntry>> lists, std::size_t want,
     util::Rng& rng, RankingRule rule = RankingRule::kMaxRank);
-
-/// One collected response to an agent-list request.
-struct CollectedList {
-  net::NodeIndex responder = net::kInvalidNode;
-  std::vector<AgentEntry> entries;
-};
-
-/// Runs the token+TTL walk from `requestor` and gathers responses.
-/// `list_of(node)` returns the list a node would share (empty = it has
-/// none and is not itself an agent → forwards without consuming a token).
-/// Request hops travel as kAgentListRequest envelopes and replies as
-/// kAgentListReply envelopes through `transport`, each counted under its
-/// own type; lossy policies lose token shares and replies.
-std::vector<CollectedList> collect_agent_lists(
-    net::Transport& transport, util::Rng& rng, net::NodeIndex requestor,
-    std::uint32_t tokens, std::uint32_t ttl,
-    const std::function<std::vector<AgentEntry>(net::NodeIndex)>& list_of);
 
 }  // namespace hirep::core

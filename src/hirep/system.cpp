@@ -6,6 +6,7 @@
 
 #include "check/invariants.hpp"
 #include "crypto/verify_cache.hpp"
+#include "net/flood.hpp"
 #include "obs/metrics.hpp"
 #include "util/log.hpp"
 
@@ -64,27 +65,37 @@ HirepSystem::HirepSystem(HirepOptions options)
       }) {
   if (options_.nodes < 8) throw std::invalid_argument("need >= 8 nodes");
 
-  // Identities: two RSA key pairs per node; nodeId = SHA1(SP).
-  id_to_ip_.reserve(options_.nodes);
-  for (std::size_t v = 0; v < options_.nodes; ++v) {
-    identities_.push_back(crypto::Identity::generate(rng_, options_.rsa_bits));
-    id_to_ip_.emplace_back(identities_.back().node_id(),
-                           static_cast<net::NodeIndex>(v));
-  }
-  std::sort(id_to_ip_.begin(), id_to_ip_.end(),
-            [](const IdMap::value_type& a, const IdMap::value_type& b) {
-              return a.first < b.first;
-            });
-
-  // Peers, each with its verified onion relays.
-  const ListParams lp = list_params_from(options_);
-  peers_.reserve(options_.nodes);
-  for (std::size_t v = 0; v < options_.nodes; ++v) {
-    const auto ip = static_cast<net::NodeIndex>(v);
-    peers_.emplace_back(&identities_[v], ip, lp);
-    peers_.back().set_relays(pick_and_verify_relays(ip));
+  // Bootstrap runs in three timed phases (DESIGN §16); none is timed per
+  // key or per walk, which would cost a registry lock each.
+  {
+    // Identities: two RSA key pairs per node; nodeId = SHA1(SP).
+    obs::ScopedTimer phase("bootstrap/identities");
+    id_to_ip_.reserve(options_.nodes);
+    for (std::size_t v = 0; v < options_.nodes; ++v) {
+      identities_.push_back(
+          crypto::Identity::generate(rng_, options_.rsa_bits));
+      id_to_ip_.emplace_back(identities_.back().node_id(),
+                             static_cast<net::NodeIndex>(v));
+    }
+    std::sort(id_to_ip_.begin(), id_to_ip_.end(),
+              [](const IdMap::value_type& a, const IdMap::value_type& b) {
+                return a.first < b.first;
+              });
   }
 
+  {
+    // Peers, each with its verified onion relays.
+    obs::ScopedTimer phase("bootstrap/relays");
+    const ListParams lp = list_params_from(options_);
+    peers_.reserve(options_.nodes);
+    for (std::size_t v = 0; v < options_.nodes; ++v) {
+      const auto ip = static_cast<net::NodeIndex>(v);
+      peers_.emplace_back(&identities_[v], ip, lp);
+      peers_.back().set_relays(pick_and_verify_relays(ip));
+    }
+  }
+
+  obs::ScopedTimer phase("bootstrap/discovery");
   // Agent community: every bandwidth-qualified node claims agent-hood.
   agent_runtimes_.resize(options_.nodes);
   agent_sq_.assign(options_.nodes, 1);
@@ -273,19 +284,14 @@ AgentEntry HirepSystem::self_entry(TxnCtx& ctx, net::NodeIndex agent_ip) {
   return entry;
 }
 
-std::vector<AgentEntry> HirepSystem::shareable_list(TxnCtx& ctx,
-                                                    net::NodeIndex v) {
+std::vector<AgentEntry> HirepSystem::shareable_list(net::NodeIndex v) {
   const auto& list = peers_.at(v).agents();
   if (!list.empty()) return list.entries();
   if (agent_online(v)) {
+    TxnCtx ctx = legacy_ctx();
     return {self_entry(ctx, v)};
   }
   return {};
-}
-
-std::vector<AgentEntry> HirepSystem::shareable_list(net::NodeIndex v) {
-  TxnCtx ctx = legacy_ctx();
-  return shareable_list(ctx, v);
 }
 
 std::size_t HirepSystem::discover_agents(TxnCtx& ctx, net::NodeIndex peer_ip) {
@@ -297,21 +303,38 @@ std::size_t HirepSystem::discover_agents(TxnCtx& ctx, net::NodeIndex peer_ip) {
     walks.add();
   }
 
-  const auto lists = collect_agent_lists(
+  // A visited node answers when it holds a trusted list or is an online
+  // agent, which answers with its self-entry (§3.4.1).  The walk's test
+  // issues that self-entry's onion and drops it: the sq bump (and, under
+  // full crypto, the onion's draws) are part of the pinned streams.
+  const auto visits = net::token_walk(
       *ctx.transport, *ctx.rng, peer_ip, options_.discovery_tokens,
-      options_.discovery_ttl,
-      [this, &ctx, peer_ip](net::NodeIndex v) {
-        return v == peer_ip ? std::vector<AgentEntry>{}
-                            : shareable_list(ctx, v);
+      options_.discovery_ttl, [this, &ctx](net::NodeIndex v) {
+        if (!peers_[v].agents().empty()) return true;
+        if (!agent_online(v)) return false;
+        (void)issue_agent_onion(ctx, v);
+        return true;
       });
 
-  std::vector<std::vector<AgentEntry>> raw;
-  raw.reserve(lists.size());
-  for (const auto& l : lists) raw.push_back(l.entries);
+  // Rank views of the responders' own lists; a list-less agent's answer is
+  // its self-entry, issued afresh in visit order.
+  std::vector<AgentEntry> self_entries;
+  self_entries.reserve(visits.size());  // no reallocation: spans point in
+  std::vector<std::span<const AgentEntry>> lists;
+  lists.reserve(visits.size());
+  for (const auto& visit : visits) {
+    const auto& list = peers_[visit.node].agents();
+    if (!list.empty()) {
+      lists.emplace_back(list.entries());
+    } else {
+      self_entries.push_back(self_entry(ctx, visit.node));
+      lists.emplace_back(&self_entries.back(), 1);
+    }
+  }
 
   std::size_t added = 0;
   for (AgentEntry& e :
-       rank_and_select(raw, p.agents().params().capacity, *ctx.rng)) {
+       rank_and_select(lists, p.agents().params().capacity, *ctx.rng)) {
     if (p.agents().full()) break;
     // A peer does not pick itself, and re-verification of the nodeId/key
     // binding rejects forged recommendations.

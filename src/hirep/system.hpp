@@ -311,7 +311,6 @@ class HirepSystem : public trust::World {
 
   onion::Onion issue_agent_onion(TxnCtx& ctx, net::NodeIndex agent_ip);
   AgentEntry self_entry(TxnCtx& ctx, net::NodeIndex agent_ip);
-  std::vector<AgentEntry> shareable_list(TxnCtx& ctx, net::NodeIndex v);
   std::size_t discover_agents(TxnCtx& ctx, net::NodeIndex peer_ip);
   void refill(TxnCtx& ctx, net::NodeIndex peer_ip);
   std::vector<onion::RelayInfo> pick_and_verify_relays(net::NodeIndex owner);

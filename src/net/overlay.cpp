@@ -19,16 +19,6 @@ double Overlay::timed_send(double depart_ms, NodeIndex from, NodeIndex to) {
   return done;
 }
 
-double Overlay::timed_path(double depart_ms,
-                           const std::vector<NodeIndex>& path) {
-  if (path.size() < 2) return depart_ms;
-  double t = depart_ms;
-  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
-    t = timed_send(t, path[i], path[i + 1]);
-  }
-  return t;
-}
-
 double Overlay::stateless_path(double depart_ms,
                                const std::vector<NodeIndex>& path) {
   if (path.size() < 2) return depart_ms;

@@ -34,10 +34,6 @@ class Overlay {
   /// receiver's busy-until state.
   double timed_send(double depart_ms, NodeIndex from, NodeIndex to);
 
-  /// Sequential timed traversal of a multi-hop path (path[0] departs at
-  /// depart_ms). Returns completion at the final node.
-  double timed_path(double depart_ms, const std::vector<NodeIndex>& path);
-
   /// Timed traversal WITHOUT the queueing side effects: pure propagation +
   /// processing cost.  Use when hop events are generated out of global time
   /// order (e.g. independent onion circuits evaluated one after another) —

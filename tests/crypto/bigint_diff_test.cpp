@@ -410,13 +410,13 @@ TEST(BigIntDiff, CodecRoundTripsAgainstReference) {
     std::string dec;
     Ref n = a;
     const Ref ten{10};
-    if (n.empty()) dec = "0";
+    if (n.empty()) dec.push_back('0');
     while (!n.empty()) {
       auto [q, r] = ref_divmod(n, ten);
-      dec.insert(dec.begin(),
-                 static_cast<char>('0' + (r.empty() ? 0 : r[0])));
+      dec.push_back(static_cast<char>('0' + (r.empty() ? 0 : r[0])));
       n = std::move(q);
     }
+    std::reverse(dec.begin(), dec.end());
     EXPECT_EQ(A.to_decimal(), dec);
   }
 }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace hirep::crypto {
 namespace {
 
@@ -114,6 +117,32 @@ TEST(Identity, ChainedRotations) {
   EXPECT_TRUE(Identity::verify_rotation(key1, ann2));
   // But not across links.
   EXPECT_FALSE(Identity::verify_rotation(key0, ann2));
+}
+
+// Known answers captured before keygen gained its single-limb prime path:
+// consecutive identities drawn from one seeded stream, so each id also pins
+// every draw its predecessors' two key pairs made.
+TEST(Identity, GeneratedNodeIdsMatchKnownAnswers) {
+  const auto ids = [](unsigned bits) {
+    util::Rng rng(2006);
+    std::vector<std::string> out;
+    for (int i = 0; i < 4; ++i) {
+      out.push_back(Identity::generate(rng, bits).node_id().to_hex());
+    }
+    return out;
+  };
+  EXPECT_EQ(ids(64), (std::vector<std::string>{
+                         "038bb4c9b025fd5086608e171a2278bf541b1cdf",
+                         "668002f68056b6a891824fc08a77ec6b6eb1db84",
+                         "382bea9cb47b6aad750043b66df4d4895ea5c95d",
+                         "3787c7ff98d8f04215b55ce0af7fe33deca80be6",
+                     }));
+  EXPECT_EQ(ids(128), (std::vector<std::string>{
+                          "77a8f9084a6abb0db64a273cc0937054913ad1c2",
+                          "4153d13aefcd9ee8fa5ec949b61fee270bf062c9",
+                          "83007c4877a3e34c99afbccb4c7534f52e03340c",
+                          "882a062ed1890945a623ef731e7d178779b8abfe",
+                      }));
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "prime_reference.hpp"
+
 namespace hirep::crypto {
 namespace {
 
@@ -75,6 +77,63 @@ TEST(Prime, ProductOfTwoPrimesIsComposite) {
   const BigInt p = random_prime(rng, 40);
   const BigInt q = random_prime(rng, 40);
   EXPECT_FALSE(is_probable_prime(p * q, rng));
+}
+
+// The single-limb search (candidates of at most 64 bits) against the BigInt
+// reference: same prime, and the rng left at the same draw, for every
+// width it covers.
+TEST(PrimeDiff, NativeSearchMatchesBigIntReference) {
+  for (unsigned bits = 2; bits <= 64; ++bits) {
+    for (std::uint64_t seed = 0; seed < 50; ++seed) {
+      util::Rng native(seed * 131 + bits), ref(seed * 131 + bits);
+      ASSERT_EQ(random_prime(native, bits), reference::random_prime(ref, bits))
+          << bits << " bits, seed " << seed;
+      ASSERT_EQ(native(), ref()) << bits << " bits, seed " << seed;
+    }
+  }
+}
+
+TEST(PrimeDiff, VerdictsAndDrawsMatchReferenceOnEdgeValues) {
+  struct Case {
+    std::uint64_t n;
+    bool prime;
+  };
+  static_assert(271ULL * 541 * 811 == 118901521ULL);
+  static_assert(307ULL * 613 * 919 == 172947529ULL);
+  const Case cases[] = {
+      {0, false}, {1, false}, {2, true}, {3, true},
+      {251, true}, {253, false}, {257, true},
+      // Carmichael numbers; the last two have no factor below 257.
+      {561, false}, {1105, false}, {1729, false}, {41041, false},
+      {825265, false}, {118901521, false}, {172947529, false},
+      // Strong pseudoprimes to the first prime bases.
+      {2047, false}, {1373653, false}, {25326001, false},
+      {3215031751ULL, false}, {3825123056546413051ULL, false},
+      // Primes either side of the 32- and 64-bit boundaries.
+      {4294967291ULL, true},            // 2^32 - 5
+      {4294967311ULL, true},            // 2^32 + 15
+      {9223372036854775783ULL, true},   // 2^63 - 25
+      {18446744073709551557ULL, true},  // 2^64 - 59
+      {18446744073709551615ULL, false}, // 2^64 - 1
+  };
+  for (const Case& c : cases) {
+    util::Rng native(c.n), ref(c.n);
+    EXPECT_EQ(is_probable_prime(BigInt(c.n), native), c.prime) << c.n;
+    EXPECT_EQ(reference::is_probable_prime(BigInt(c.n), ref), c.prime) << c.n;
+    EXPECT_EQ(native(), ref()) << c.n;
+  }
+}
+
+TEST(PrimeDiff, RandomOddInputsMatchReference) {
+  util::Rng inputs(0x9e3779b9);
+  for (std::uint64_t i = 0; i < 4000; ++i) {
+    const auto bits = static_cast<unsigned>(2 + inputs.below(63));
+    const BigInt n((inputs() >> (64 - bits)) | (1ULL << (bits - 1)) | 1u);
+    util::Rng native(i), ref(i);
+    ASSERT_EQ(is_probable_prime(n, native), reference::is_probable_prime(n, ref))
+        << n.to_decimal();
+    ASSERT_EQ(native(), ref()) << n.to_decimal();
+  }
 }
 
 }  // namespace

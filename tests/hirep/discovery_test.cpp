@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <span>
+#include <string>
 
-#include "net/topology.hpp"
+#include "crypto/sha256.hpp"
+#include "hirep/system.hpp"
+#include "util/bytes.hpp"
 
 namespace hirep::core {
 namespace {
@@ -22,17 +26,26 @@ AgentEntry entry_of(std::uint8_t tag, double weight) {
   return e;
 }
 
+// rank_and_select over views of `lists`.
+std::vector<AgentEntry> rank_lists(
+    const std::vector<std::vector<AgentEntry>>& lists, std::size_t want,
+    util::Rng& rng, RankingRule rule = RankingRule::kMaxRank) {
+  const std::vector<std::span<const AgentEntry>> views(lists.begin(),
+                                                       lists.end());
+  return rank_and_select(views, want, rng, rule);
+}
+
 TEST(RankAndSelect, EmptyInput) {
   util::Rng rng(1);
   EXPECT_TRUE(rank_and_select({}, 5, rng).empty());
-  EXPECT_TRUE(rank_and_select({{entry_of(1, 1.0)}}, 0, rng).empty());
+  EXPECT_TRUE(rank_lists({{entry_of(1, 1.0)}}, 0, rng).empty());
 }
 
 TEST(RankAndSelect, TopWeightsWin) {
   util::Rng rng(2);
   std::vector<std::vector<AgentEntry>> lists{
       {entry_of(1, 0.9), entry_of(2, 0.5), entry_of(3, 0.1)}};
-  const auto selected = rank_and_select(lists, 2, rng);
+  const auto selected = rank_lists(lists, 2, rng);
   ASSERT_EQ(selected.size(), 2u);
   EXPECT_EQ(selected[0].agent_id, id_of(1));
   EXPECT_EQ(selected[1].agent_id, id_of(2));
@@ -41,7 +54,7 @@ TEST(RankAndSelect, TopWeightsWin) {
 TEST(RankAndSelect, SelectedWeightResetToOne) {
   util::Rng rng(3);
   std::vector<std::vector<AgentEntry>> lists{{entry_of(1, 0.42)}};
-  const auto selected = rank_and_select(lists, 1, rng);
+  const auto selected = rank_lists(lists, 1, rng);
   ASSERT_EQ(selected.size(), 1u);
   EXPECT_DOUBLE_EQ(selected[0].weight, 1.0);  // §3.4.3 initial expertise
 }
@@ -57,7 +70,7 @@ TEST(RankAndSelect, MaxRankDefeatsBadMouthing) {
   for (int i = 0; i < 10; ++i) {
     lists.push_back({entry_of(3, 1.0), entry_of(4, 0.9), entry_of(1, 0.0)});
   }
-  const auto selected = rank_and_select(lists, 2, rng, RankingRule::kMaxRank);
+  const auto selected = rank_lists(lists, 2, rng, RankingRule::kMaxRank);
   bool has_agent1 = false;
   for (const auto& e : selected) has_agent1 |= (e.agent_id == id_of(1));
   EXPECT_TRUE(has_agent1);
@@ -72,7 +85,7 @@ TEST(RankAndSelect, MeanRankVulnerableToBadMouthing) {
   for (int i = 0; i < 10; ++i) {
     lists.push_back({entry_of(3, 1.0), entry_of(4, 0.9), entry_of(1, 0.0)});
   }
-  const auto selected = rank_and_select(lists, 2, rng, RankingRule::kMeanRank);
+  const auto selected = rank_lists(lists, 2, rng, RankingRule::kMeanRank);
   bool has_agent1 = false;
   for (const auto& e : selected) has_agent1 |= (e.agent_id == id_of(1));
   EXPECT_FALSE(has_agent1);
@@ -84,8 +97,8 @@ TEST(RankAndSelect, BallotStuffingNoBetterThanOneVote) {
   util::Rng rng(6);
   std::vector<std::vector<AgentEntry>> once{{entry_of(1, 1.0)}};
   std::vector<std::vector<AgentEntry>> stuffed(20, {entry_of(1, 1.0)});
-  const auto a = rank_and_select(once, 3, rng);
-  const auto b = rank_and_select(stuffed, 3, rng);
+  const auto a = rank_lists(once, 3, rng);
+  const auto b = rank_lists(stuffed, 3, rng);
   ASSERT_EQ(a.size(), 1u);
   ASSERT_EQ(b.size(), 1u);
   EXPECT_EQ(a[0].agent_id, b[0].agent_id);
@@ -98,7 +111,7 @@ TEST(RankAndSelect, SumRankRewardsBallotStuffing) {
   std::vector<std::vector<AgentEntry>> lists;
   lists.push_back({entry_of(1, 1.0), entry_of(2, 0.1)});
   for (int i = 0; i < 5; ++i) lists.push_back({entry_of(2, 1.0)});
-  const auto selected = rank_and_select(lists, 1, rng, RankingRule::kSumRank);
+  const auto selected = rank_lists(lists, 1, rng, RankingRule::kSumRank);
   ASSERT_EQ(selected.size(), 1u);
   EXPECT_EQ(selected[0].agent_id, id_of(2));
 }
@@ -109,7 +122,7 @@ TEST(RankAndSelect, AgentsBeyondTopNGetRankZero) {
   util::Rng rng(8);
   std::vector<std::vector<AgentEntry>> lists{
       {entry_of(1, 0.9), entry_of(2, 0.8), entry_of(3, 0.7), entry_of(4, 0.6)}};
-  const auto selected = rank_and_select(lists, 2, rng);
+  const auto selected = rank_lists(lists, 2, rng);
   ASSERT_EQ(selected.size(), 2u);
   for (const auto& e : selected) {
     EXPECT_TRUE(e.agent_id == id_of(1) || e.agent_id == id_of(2));
@@ -126,7 +139,7 @@ TEST(RankAndSelect, TieBreaksAreRandom) {
                                                {entry_of(2, 0.5)},
                                                {entry_of(3, 0.5)},
                                                {entry_of(4, 0.5)}};
-    const auto selected = rank_and_select(lists, 1, rng);
+    const auto selected = rank_lists(lists, 1, rng);
     ASSERT_EQ(selected.size(), 1u);
     ++wins[selected[0].agent_id.bytes[0]];
   }
@@ -134,32 +147,41 @@ TEST(RankAndSelect, TieBreaksAreRandom) {
   for (const auto& [tag, count] : wins) EXPECT_GT(count, 10) << int(tag);
 }
 
-TEST(CollectAgentLists, GathersFromConsumers) {
-  net::Overlay overlay(net::ring_lattice(30, 2), net::LatencyParams{}, 1);
-  net::Transport transport(&overlay, net::DeliveryConfig{}, 1);
-  util::Rng rng(9);
-  const auto collected = collect_agent_lists(
-      transport, rng, 0, 6, 10, [](net::NodeIndex v) {
-        std::vector<AgentEntry> list;
-        if (v % 3 == 0) list.push_back(entry_of(static_cast<std::uint8_t>(v), 1.0));
-        return list;
-      });
-  EXPECT_LE(collected.size(), 6u);
-  EXPECT_GE(collected.size(), 1u);
-  for (const auto& c : collected) {
-    EXPECT_EQ(c.responder % 3, 0u);
-    EXPECT_EQ(c.entries.size(), 1u);
+// Every peer's trusted list after bootstrap (agent id, weight, onion sq,
+// relay path), digested.  The pins were captured before discovery ranked
+// views instead of copies; they also see the onion the walk's answer test
+// issues and drops for a list-less agent, whose only trace under fast
+// crypto is the sqs of later onions.
+std::string bootstrap_lists_digest(CryptoMode mode) {
+  HirepOptions o;
+  o.nodes = 300;
+  o.rsa_bits = 64;
+  o.seed = 5;
+  o.crypto = mode;
+  const HirepSystem sys(o);
+  util::ByteWriter w;
+  for (net::NodeIndex v = 0; v < sys.node_count(); ++v) {
+    const auto& entries = sys.peer(v).agents().entries();
+    w.u32(static_cast<std::uint32_t>(entries.size()));
+    for (const AgentEntry& e : entries) {
+      w.raw(e.agent_id.bytes);
+      w.f64(e.weight);
+      w.u64(e.onion.sq);
+      w.u32(static_cast<std::uint32_t>(e.relay_path.size()));
+      for (net::NodeIndex hop : e.relay_path) w.u32(hop);
+    }
   }
+  return util::to_hex(crypto::Sha256::hash(w.bytes()));
 }
 
-TEST(CollectAgentLists, EmptyWhenNobodyHasLists) {
-  net::Overlay overlay(net::ring_lattice(10, 1), net::LatencyParams{}, 2);
-  net::Transport transport(&overlay, net::DeliveryConfig{}, 2);
-  util::Rng rng(10);
-  const auto collected = collect_agent_lists(
-      transport, rng, 0, 5, 5,
-      [](net::NodeIndex) { return std::vector<AgentEntry>{}; });
-  EXPECT_TRUE(collected.empty());
+TEST(DiscoveryPin, FastCryptoTrustedListsMatchPinnedDigest) {
+  EXPECT_EQ(bootstrap_lists_digest(CryptoMode::kFast), 
+            "63e2746fc4477f04f4859e6b0498567c1944f1f7be1279f1fe8d36864877e80e");
+}
+
+TEST(DiscoveryPin, FullCryptoTrustedListsMatchPinnedDigest) {
+  EXPECT_EQ(bootstrap_lists_digest(CryptoMode::kFull), 
+            "6405e38537d31d89d462dc89e92b0e9f950851126cbaafd6d374fe44132e88e2");
 }
 
 }  // namespace

@@ -116,7 +116,16 @@ TEST(TokenWalk, SkipsNonConsumers) {
   // Only even nodes answer.
   const auto visits = token_walk(net.transport, rng, 1, 4, 20,
                                  [](NodeIndex v) { return v % 2 == 0; });
+  EXPECT_FALSE(visits.empty());
   for (const auto& v : visits) EXPECT_EQ(v.node % 2, 0u);
+  // Nobody answers: the request still travels, but no reply comes back.
+  Instant quiet(ring_overlay(10, 1));
+  EXPECT_TRUE(token_walk(quiet.transport, rng, 0, 5, 5,
+                         [](NodeIndex) { return false; })
+                  .empty());
+  const auto& ledger = quiet.transport.envelopes();
+  EXPECT_GT(ledger.of(EnvelopeType::kAgentListRequest).hop_messages, 0u);
+  EXPECT_EQ(ledger.of(EnvelopeType::kAgentListReply).hop_messages, 0u);
 }
 
 TEST(TokenWalk, ZeroTokensOrTtlNoVisits) {

@@ -64,25 +64,15 @@ TEST(Overlay, ResetTimeStateClearsQueues) {
                    ov.latency().link_ms(0, 1) + ov.latency().processing_ms());
 }
 
-TEST(Overlay, TimedPathAccumulates) {
-  auto ov = make_overlay();
-  const std::vector<NodeIndex> path{0, 1, 2, 3};
-  const double done = ov.timed_path(0.0, path);
-  double expected = 0.0;
-  for (int i = 0; i < 3; ++i) {
-    expected += ov.latency().link_ms(static_cast<NodeIndex>(i),
-                                     static_cast<NodeIndex>(i + 1)) +
-                ov.latency().processing_ms();
-  }
-  EXPECT_DOUBLE_EQ(done, expected);
-}
-
 TEST(Overlay, StatelessPathMatchesTimedOnQuietNetwork) {
   auto ov = make_overlay();
   const std::vector<NodeIndex> path{0, 2, 4, 6};
   const double stateless = ov.stateless_path(0.0, path);
   ov.reset_time_state();
-  const double timed = ov.timed_path(0.0, path);
+  double timed = 0.0;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    timed = ov.timed_send(timed, path[i], path[i + 1]);
+  }
   EXPECT_DOUBLE_EQ(stateless, timed);
 }
 
@@ -97,7 +87,6 @@ TEST(Overlay, StatelessPathHasNoQueueSideEffects) {
 
 TEST(Overlay, ShortPathsAreNoops) {
   auto ov = make_overlay();
-  EXPECT_DOUBLE_EQ(ov.timed_path(5.0, {0}), 5.0);
   EXPECT_DOUBLE_EQ(ov.stateless_path(5.0, {}), 5.0);
 }
 

@@ -90,8 +90,11 @@ LexedFile lex_source(std::string source) {
     if (c == 'R' && i + 1 < n && s[i + 1] == '"') {
       std::size_t d = i + 2;
       while (d < n && s[d] != '(') ++d;
-      const std::string closer =
-          ")" + std::string(view(i + 2, d)) + "\"";
+      std::string closer;
+      closer.reserve(d - i);  // ")" + delimiter + quote
+      closer.push_back(')');
+      closer.append(view(i + 2, d));
+      closer.push_back('"');
       const int start_line = line;
       std::size_t body = d + 1;
       std::size_t end = s.find(closer, body);
